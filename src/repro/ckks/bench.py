@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.ckks import instrument, modmath
+from repro.ckks import instrument
 from repro.ckks.fixture import BENCH_PARAMS, bootstrap_fixture
 from repro.ckks.keyswitch import key_switch
 from repro.ckks.ntt import NttContext
@@ -43,7 +43,7 @@ def run_functional_bench(repeats: int = 3, tracer=None) -> dict:
 
     ``tracer`` (a ``repro.obs.tracer.Tracer``) is attached to the CKKS
     instrumentation hooks for the duration of the run, so the returned
-    ``counters`` record batched-NTT calls, scratch reuse, and cache
+    ``counters`` record batched-NTT calls, Shoup limb rows, and cache
     hits alongside the wall-clock metrics.
     """
     fx = bootstrap_fixture()
@@ -83,17 +83,6 @@ def run_functional_bench(repeats: int = 3, tracer=None) -> dict:
     ct_low = fx.ct_low
     refreshed = bts.bootstrap(ct_low)
 
-    # Strict-mode arm of the lazy-reduction comparison: the same batched
-    # transform with Shoup kernels disabled, i.e. the original per-pass
-    # ``%`` algorithm.  Timed OUTSIDE the traced region so the pinned
-    # baseline counters (``ckks.batch_ntt.forward`` etc.) are unchanged.
-    def strict_forward():
-        with modmath.lazy_scope(False):
-            for _ in range(NTT_LOOPS):
-                batch_ctx.forward(limbs)
-
-    ntt_forward_strict_s = _best_of(strict_forward, repeats)
-
     old_tracer = instrument.get_tracer()
     instrument.set_tracer(tracer)
     try:
@@ -109,9 +98,6 @@ def run_functional_bench(repeats: int = 3, tracer=None) -> dict:
         instrument.set_tracer(old_tracer)
     metrics["ntt_batch_speedup"] = (metrics["ntt_forward_reference_s"]
                                     / metrics["ntt_forward_batched_s"])
-    metrics["ntt_forward_strict_s"] = ntt_forward_strict_s
-    metrics["ntt_lazy_speedup"] = (ntt_forward_strict_s
-                                   / metrics["ntt_forward_batched_s"])
 
     return {
         "metrics": metrics,

@@ -12,9 +12,6 @@ where its speedup comes from:
 * ``ckks.batch_ntt.limbs`` — limbs transformed in those calls.
 * ``ckks.batch_ntt.threaded`` — transforms that split their limb
   planes across the :mod:`repro.parallel.threads` row-block pool.
-* ``ckks.scratch.hit`` / ``ckks.scratch.miss`` — butterfly scratch
-  slabs reused vs freshly allocated (per-thread, so a threaded run
-  records one miss per worker thread per shape).
 * ``ckks.diag_cache.hit`` / ``ckks.diag_cache.miss`` — encoded
   plaintext diagonals served from the :class:`LinearTransform` cache.
 * ``ckks.monomial_cache.hit`` / ``ckks.monomial_cache.miss`` — cached
@@ -25,10 +22,11 @@ where its speedup comes from:
 * ``ckks.bconv_tables.hit`` / ``.miss`` / ``.evicted`` — the bounded
   basis-conversion constant cache (long serve runs over many leveled
   bases must not grow memory without bound).
-* ``ckks.modmath.shoup`` / ``ckks.modmath.strict_fallback`` — limb
-  rows multiplied through the lazy Shoup mul/shift/sub pipeline vs
-  rows that fell back to the exact ``%`` path (primes ≥ 2³⁰, or lazy
-  reduction disabled via :func:`repro.ckks.modmath.lazy_scope`).
+* ``ckks.modmath.shoup`` — limb rows multiplied through the lazy
+  Shoup mul/shift/sub pipeline (batched NTT rows and ``ct × pt``
+  products with a cached dual).  It is the only modmul path of the
+  batched engine: every multiplicand is folded into ``[0, 2q)`` first,
+  and ``2q < 2³²`` for every admitted prime ``q < 2³¹``.
 * ``ckks.ntt_tables.hit`` / ``.miss`` / ``.evicted`` — the bounded
   module-level twiddle-plane cache shared by every ``NttContext`` /
   ``BatchNttContext`` keyed on ``(degree, q)``.

@@ -12,13 +12,14 @@ Two butterfly kernels exist:
   with an exact ``%``.  It is deliberately kept divide-based: the
   property tests use it as the oracle for the fast path.
 * :class:`BatchNttContext` — the hot path: all RNS limbs at once on
-  stacked ``(L, N)`` twiddle planes.  Limbs whose prime is below
-  ``2^30`` run Shoup/Harvey lazy-reduction butterflies (mul/shift/sub,
-  no hardware divide, values lazily in ``[0, 4q)``) and fold back to
-  canonical ``[0, q)`` once after the last pass; limbs of wider primes
-  (the 31-bit base prime) dispatch to the exact ``%`` butterfly
-  row-run by row-run, so mixed bases stay correct — and the output is
-  always bit-identical to the per-limb reference.
+  stacked ``(L, N)`` twiddle planes, every limb through one
+  Shoup/Harvey lazy-reduction pipeline (mul/shift/sub, no hardware
+  divide, values lazily in ``[0, 4q)``) that folds back to canonical
+  ``[0, q)`` once after the last pass.  Each value is folded into
+  ``[0, 2q)`` right before its Shoup multiply; since every admitted
+  prime is below ``2^31`` (``modmath.MAX_PRIME_BITS``), ``2q < 2^32``
+  and the Shoup bound holds for the 31-bit base prime too.  The output
+  is always bit-identical to the per-limb reference.
 
 Twiddle tables are built once per ``(degree, q)`` in a module-level LRU
 (:func:`_twiddle_tables`), so fixtures and tests constructing many
@@ -153,12 +154,6 @@ def _owned_copy(array) -> np.ndarray:
     return np.array(array, dtype=np.int64, order="C", copy=True)
 
 
-def _clip_segments(segments: tuple, lo: int, hi: int) -> tuple:
-    """Dispatch runs intersected with row block ``[lo, hi)``, rebased."""
-    return tuple((max(slo, lo) - lo, min(shi, hi) - lo, lazy)
-                 for slo, shi, lazy in segments if slo < hi and shi > lo)
-
-
 class NttContext:
     """Precomputed NTT tables for one prime ``q`` and ring degree ``N``.
 
@@ -231,35 +226,40 @@ class NttContext:
 # ---------------------------------------------------------------------------
 # Butterfly op builders.
 #
-# The batched transform compiles each (shape, row block, dispatch) into
-# a flat list of zero-argument closures over pre-sliced views — the hot
-# loop then only dispatches ufuncs, with no per-pass reshaping/slicing.
+# The batched transform compiles each (shape, row block) into a flat
+# list of zero-argument closures over pre-sliced views — the hot loop
+# then only dispatches ufuncs, with no per-pass reshaping/slicing.
 #
-# Lazy kernels *stage* each pass: the strided even/odd butterfly lanes
-# of the work buffer are copied into contiguous uint64 scratch, all
-# arithmetic runs at full vector speed against twiddles pre-expanded to
-# one value per lane, and two strided writes put the results back.  Only
-# the four copies touch gappy memory — at the late passes (pair stride
-# 1–4) that is the difference between one long inner loop and thousands
-# of length-1 loops.  Every conditional correction is the branchless
+# Each pass is *staged*: the strided even/odd butterfly lanes of the
+# work buffer are copied into contiguous uint64 scratch, all arithmetic
+# runs at full vector speed against twiddles pre-expanded to one value
+# per lane, and two strided writes put the results back.  Only the four
+# copies touch gappy memory — at the late passes (pair stride 1–4) that
+# is the difference between one long inner loop and thousands of
+# length-1 loops.  Every conditional correction is the branchless
 # unsigned fold ``r = min(r, r − k·q)`` (the subtraction wraps past
 # 2^64 when r < k·q, so ``min`` picks the unfolded value).
+#
+# Rule: every value is folded into ``[0, 2q)`` right before its Shoup
+# multiply.  ``2q < 2^32`` for every admitted ``q < 2^31``, which is
+# all the Shoup ``[0, 2q)`` output bound needs.
 # ---------------------------------------------------------------------------
 
 
-def _forward_lazy_ops(x, y, xs, ys, t1, s_p, ssh_p, q, two_q,
-                      xs_v, ys_v, t1_v) -> list:
+def _forward_ops(x, y, xs, ys, t1, s_p, ssh_p, q, two_q,
+                 xs_v, ys_v, t1_v) -> list:
     """Harvey CT butterfly: entry ``x, y ∈ [0, 4q)``, exit ``∈ [0, 4q)``.
 
-    ``x`` is folded to ``[0, 2q)``, ``v = y·s`` Shoup-reduced to
-    ``[0, 2q)`` (valid because ``y < 4q ≤ 2^32``), then ``x' = x + v``
-    and ``y' = x − v + 2q``.
+    ``x`` and ``y`` are folded to ``[0, 2q)``, ``v = y·s`` Shoup-reduced
+    to ``[0, 2q)``, then ``x' = x + v`` and ``y' = x − v + 2q``.
     """
     return [
         lambda: np.copyto(xs_v, x),
         lambda: np.copyto(ys_v, y),
         lambda: np.subtract(xs, two_q, out=t1),
         lambda: np.minimum(xs, t1, out=xs),
+        lambda: np.subtract(ys, two_q, out=t1),
+        lambda: np.minimum(ys, t1, out=ys),
         lambda: np.multiply(ys, ssh_p, out=t1),
         lambda: np.right_shift(t1, _SHIFT, out=t1),
         lambda: np.multiply(t1, q, out=t1),
@@ -273,18 +273,20 @@ def _forward_lazy_ops(x, y, xs, ys, t1, s_p, ssh_p, q, two_q,
     ]
 
 
-def _inverse_lazy_ops(x, y, xs, ys, t1, t2, s_p, ssh_p, q, two_q,
-                      xs_v, ys_v) -> list:
+def _inverse_ops(x, y, xs, ys, t1, t2, s_p, ssh_p, q, two_q,
+                 xs_v, ys_v) -> list:
     """Harvey GS butterfly: entry ``x, y ∈ [0, 2q)``, exit ``∈ [0, 2q)``.
 
-    ``x' = x + y`` folded once; ``y' = (x − y + 2q)·s`` Shoup-reduced
-    (valid because ``x − y + 2q < 4q ≤ 2^32``).
+    ``x' = x + y`` folded once; ``y' = (x − y + 2q)·s`` with the
+    multiplicand folded to ``[0, 2q)`` first, then Shoup-reduced.
     """
     return [
         lambda: np.copyto(xs_v, x),
         lambda: np.copyto(ys_v, y),
         lambda: np.subtract(xs, ys, out=t1),
         lambda: np.add(t1, two_q, out=t1),
+        lambda: np.subtract(t1, two_q, out=t2),
+        lambda: np.minimum(t1, t2, out=t1),
         lambda: np.add(xs, ys, out=xs),
         lambda: np.subtract(xs, two_q, out=t2),
         lambda: np.minimum(xs, t2, out=xs),
@@ -298,29 +300,6 @@ def _inverse_lazy_ops(x, y, xs, ys, t1, t2, s_p, ssh_p, q, two_q,
     ]
 
 
-def _strict_ct_ops(x, y, s, q, u, v, mask) -> list:
-    """Exact-``%`` CT butterfly — identical math to the per-limb oracle."""
-    return [
-        lambda: np.copyto(u, x),
-        lambda: np.multiply(y, s, out=v),
-        lambda: np.remainder(v, q, out=v),
-        lambda: modmath.mod_add_into(u, v, q, out=x, mask=mask),
-        lambda: modmath.mod_sub_into(u, v, q, out=y, mask=mask),
-    ]
-
-
-def _strict_gs_ops(x, y, s, q, u, v, mask) -> list:
-    """Exact-``%`` GS butterfly — identical math to the per-limb oracle."""
-    return [
-        lambda: np.copyto(u, x),
-        lambda: np.copyto(v, y),
-        lambda: modmath.mod_add_into(u, v, q, out=x, mask=mask),
-        lambda: modmath.mod_sub_into(u, v, q, out=y, mask=mask),
-        lambda: np.multiply(y, s, out=y),
-        lambda: np.remainder(y, q, out=y),
-    ]
-
-
 def _forward_fold_ops(rows, scr, q, two_q) -> list:
     """``[0, 4q) → [0, q)`` after the last forward pass (two folds)."""
     return [
@@ -331,8 +310,8 @@ def _forward_fold_ops(rows, scr, q, two_q) -> list:
     ]
 
 
-def _ninv_lazy_ops(rows, scr, s, s_sh, q) -> list:
-    """Final ``N^{-1}`` scaling of lazy rows in ``[0, 2q)`` → ``[0, q)``."""
+def _ninv_ops(rows, scr, s, s_sh, q) -> list:
+    """Final ``N^{-1}`` scaling of rows in ``[0, 2q)`` → ``[0, q)``."""
     return [
         lambda: np.multiply(rows, s_sh, out=scr),
         lambda: np.right_shift(scr, _SHIFT, out=scr),
@@ -344,13 +323,6 @@ def _ninv_lazy_ops(rows, scr, s, s_sh, q) -> list:
     ]
 
 
-def _ninv_strict_ops(rows, s, q) -> list:
-    return [
-        lambda: np.multiply(rows, s, out=rows),
-        lambda: np.remainder(rows, q, out=rows),
-    ]
-
-
 class BatchNttContext:
     """Stacked NTT tables for a whole RNS basis.
 
@@ -359,21 +331,22 @@ class BatchNttContext:
     ``(L, 1)`` column, so *one* vectorized butterfly pass transforms all
     limbs of a polynomial — replacing the Python loop over primes.
 
-    Limb rows whose prime is below ``2^30`` use the Shoup/Harvey
-    lazy-reduction butterfly: the twiddle multiply is the precomputed
-    quotient pipeline ``hi = (x·s') >> 32; r = x·s − hi·q`` (no
-    division), values stay lazily above ``q`` across passes, and a
-    single fold after the last pass replaces the per-butterfly ``%``.
-    Wider primes dispatch per contiguous row run to the exact ``%``
-    butterfly (:func:`modmath.shoup_segments`).  Both paths land on the
-    canonical ``[0, q)`` residues, so results are bit-identical to
-    running :class:`NttContext` limb by limb for every mixed basis and
-    any thread count (the property tests assert this).
+    Every limb runs the Shoup/Harvey lazy-reduction butterfly: the
+    twiddle multiply is the precomputed-quotient pipeline
+    ``hi = (x·s') >> 32; r = x·s − hi·q`` (no division), values stay
+    lazily above ``q`` across passes, and a single fold after the last
+    pass replaces the per-butterfly ``%``.  Each multiplicand is folded
+    into ``[0, 2q)`` first, and ``2q < 2^32`` holds for every prime
+    below ``2^MAX_PRIME_BITS`` — the bound the constructor enforces.
+    The output is canonical ``[0, q)``, bit-identical to running
+    :class:`NttContext` limb by limb for any basis and any thread count
+    (the property tests assert this).
 
-    Each distinct (transform, shape, row block, dispatch) combination is
-    compiled once into an execution *plan* — a work buffer plus a flat
-    list of ufunc closures over pre-sliced views — so the per-call hot
-    loop does no reshaping, slicing, or Python-level bookkeeping.
+    Each distinct (transform, shape, row block) combination is compiled
+    once into an execution *plan* — a work buffer, staging scratch, and
+    a flat list of ufunc closures over pre-sliced views — so the
+    per-call hot loop does no reshaping, slicing, or Python-level
+    bookkeeping.
     """
 
     #: Bound on cached execution plans per context.
@@ -383,54 +356,28 @@ class BatchNttContext:
         basis = tuple(basis)
         if not basis:
             raise ParameterError("batched NTT needs at least one prime")
+        bound = 1 << modmath.MAX_PRIME_BITS
+        if max(basis) >= bound:
+            raise ParameterError(f"prime {max(basis)} is not below 2^"
+                                 f"{modmath.MAX_PRIME_BITS} = {bound}")
         if contexts is None:
             contexts = [NttContext(degree, q) for q in basis]
         self.degree = degree
         self.basis = basis
         limbs = len(basis)
-        self.q_col = np.array(basis, dtype=np.int64).reshape(limbs, 1)
-        self.two_q_col = self.q_col * 2
+        self.q_col = np.array(basis, dtype=np.uint64).reshape(limbs, 1)
+        self.two_q_col = self.q_col * np.uint64(2)
         self.psis = np.stack([c.psis for c in contexts])          # (L, N)
         self.inv_psis = np.stack([c.inv_psis for c in contexts])  # (L, N)
         self.psis_shoup = np.stack([c.psis_shoup for c in contexts])
         self.inv_psis_shoup = np.stack([c.inv_psis_shoup for c in contexts])
         self.n_inv_col = np.array([c.n_inv for c in contexts],
-                                  dtype=np.int64).reshape(limbs, 1)
+                                  dtype=np.uint64).reshape(limbs, 1)
         self.n_inv_shoup_col = np.array(
             [c.n_inv_shoup for c in contexts],
             dtype=np.uint64).reshape(limbs, 1)
-        #: Contiguous (lo, hi, lazy) dispatch runs of the limb rows.
-        self.segments = modmath.shoup_segments(basis)
-        self._scratch: dict = {}
-        self._scratch_lock = threading.Lock()
+        self._plans_lock = threading.Lock()
         self._plans: OrderedDict = OrderedDict()
-
-    def _buffers(self, shape: tuple):
-        """(u, v, mask, hi) scratch of ``shape``, reused across calls.
-
-        Keyed per **thread** as well as per shape: the threaded path
-        runs one butterfly block per pool thread, and scratch slabs
-        are written concurrently — a shared slab would race.  Pool
-        threads are long-lived, so each thread's slabs are reused
-        across calls just like the serial path's.  ``hi`` holds the
-        Shoup high-product; the lazy kernels use ``uint64`` views of
-        the int64 slabs.
-        """
-        key = (threading.get_ident(), shape)
-        with self._scratch_lock:
-            buffers = self._scratch.get(key)
-            if buffers is None:
-                instrument.count("ckks.scratch.miss")
-            else:
-                instrument.count("ckks.scratch.hit")
-        if buffers is None:
-            buffers = (np.empty(shape, dtype=np.int64),
-                       np.empty(shape, dtype=np.int64),
-                       np.empty(shape, dtype=bool),
-                       np.empty(shape, dtype=np.uint64))
-            with self._scratch_lock:
-                self._scratch[key] = buffers
-        return buffers
 
     def _prepare(self, array: np.ndarray, kind: str) -> np.ndarray:
         limbs = len(self.basis)
@@ -441,73 +388,56 @@ class BatchNttContext:
                 f"second-to-last axis has {array.shape[-2]} limbs; "
                 f"basis has {limbs}")
         instrument.count(f"ckks.batch_ntt.{kind}")
-        if array.ndim == 2:
-            planes = 1
-        else:
+        if instrument.get_tracer() is not None:
             planes = int(np.prod(array.shape[:-2], dtype=np.int64) or 1)
-        instrument.count("ckks.batch_ntt.limbs", limbs * planes)
+            instrument.count("ckks.batch_ntt.limbs", limbs * planes)
+            instrument.count("ckks.modmath.shoup", limbs * planes)
         return _owned_copy(array)
 
-    def _dispatch_segments(self, a: np.ndarray) -> tuple:
-        """The active (lo, hi, lazy) runs, honouring the global lazy
-        switch, with the per-path limb counters bumped once per call."""
-        limbs = len(self.basis)
-        segments = (self.segments if modmath.lazy_enabled()
-                    else ((0, limbs, False),))
-        if instrument.get_tracer() is not None:
-            planes = int(np.prod(a.shape[:-2], dtype=np.int64) or 1)
-            lazy_rows = sum(hi - lo for lo, hi, lazy in segments if lazy)
-            if lazy_rows:
-                instrument.count("ckks.modmath.shoup", lazy_rows * planes)
-            if limbs - lazy_rows:
-                instrument.count("ckks.modmath.strict_fallback",
-                                 (limbs - lazy_rows) * planes)
-        return segments
+    def _plan(self, kind: str, shape: tuple, rlo: int):
+        """The compiled plan for one row block, from the per-context LRU.
 
-    def _plan(self, kind: str, shape: tuple, rlo: int, segments: tuple,
-              slabs: tuple):
-        key = (threading.get_ident(), kind, shape, rlo, segments)
-        with self._scratch_lock:
+        Keyed per **thread** as well: the threaded path runs one
+        butterfly block per pool thread, and a plan's work buffer and
+        staging scratch are written during the run — a shared plan
+        would race.  Pool threads are long-lived, so each thread's
+        plans are reused across calls just like the serial path's.
+        """
+        key = (threading.get_ident(), kind, shape, rlo)
+        with self._plans_lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
         if plan is None:
-            plan = self._build_plan(kind, shape, rlo, segments, slabs)
-            with self._scratch_lock:
+            plan = self._build_plan(kind, shape, rlo)
+            with self._plans_lock:
                 self._plans[key] = plan
                 self._plans.move_to_end(key)
                 while len(self._plans) > self.PLAN_CACHE_SIZE:
                     self._plans.popitem(last=False)
         return plan
 
-    def _build_plan(self, kind: str, shape: tuple, rlo: int,
-                    segments: tuple, slabs: tuple):
+    def _build_plan(self, kind: str, shape: tuple, rlo: int):
         """Compile one transform into (work buffer, closure list).
 
-        ``shape`` is the row block's ``(..., Lb, N)`` shape, ``rlo`` its
-        first absolute limb row, ``segments`` its rebased dispatch runs,
-        and ``slabs`` the :meth:`_buffers` scratch for its shape — the
-        same objects on every later call (``_buffers`` never replaces an
-        entry), so the compiled views stay valid.
+        ``shape`` is the row block's ``(..., Lb, N)`` shape and ``rlo``
+        its first absolute limb row.  All arithmetic runs on ``uint64``
+        (values never exceed ``4q < 2^33``; products stay below
+        ``2^64``).
         """
         n = self.degree
-        half = n // 2
         limbs = shape[-2]
         lead = shape[:-2]
-        rows_all = slice(rlo, rlo + limbs)
-        w = np.empty(shape, dtype=np.int64)
-        wu = w.view(np.uint64)
-        u_buf, v_buf, mask_buf, hi_buf = slabs
+        rows = slice(rlo, rlo + limbs)
+        w = np.empty(shape, dtype=np.uint64)
         scr = np.empty(shape, dtype=np.uint64)
-        q3 = self.q_col[rows_all].reshape(limbs, 1, 1)
-        q_rows = self.q_col[rows_all]
-        q_rows_u = q_rows.view(np.uint64)
-        two_q_rows_u = self.two_q_col[rows_all].view(np.uint64)
+        q = self.q_col[rows]
+        two_q = self.two_q_col[rows]
         forward = kind == "forward"
-        psis = (self.psis if forward else self.inv_psis)[rows_all]
+        psis = (self.psis if forward else self.inv_psis)[rows]
         psis_u = psis.view(np.uint64)
         shoup = (self.psis_shoup if forward
-                 else self.inv_psis_shoup)[rows_all]
+                 else self.inv_psis_shoup)[rows]
         stages = []
         if forward:
             t, m = n, 1
@@ -521,119 +451,67 @@ class BatchNttContext:
                 m //= 2
                 stages.append((m, t))
                 t *= 2
-        # Contiguous uint64 staging per lazy segment, shared by all
-        # passes of the plan (each pass moves seg·N/2 lane values).
-        stage: dict = {}
-        for lo, hi, lazy in segments:
-            if lazy:
-                s_shape = lead + (hi - lo, half)
-                stage[lo] = tuple(np.empty(s_shape, dtype=np.uint64)
-                                  for _ in range(4))
+        # Contiguous uint64 staging shared by all passes of the plan
+        # (each pass moves Lb·N/2 lane values).
+        xs, ys, t1, t2 = (np.empty(lead + (limbs, n // 2), dtype=np.uint64)
+                          for _ in range(4))
         ops: list = []
         for m, t in stages:
             b = w.reshape(lead + (limbs, m, 2, t))
-            bu = wu.reshape(lead + (limbs, m, 2, t))
-            s3 = lead + (limbs, m, t)
-            u3 = u_buf.reshape(s3)
-            v3 = v_buf.reshape(s3)
-            m3 = mask_buf.reshape(s3)
-            for lo, hi, lazy in segments:
-                seg = hi - lo
-                lane = lead + (seg, m, t)
-                if lazy:
-                    xs, ys, t1, t2 = stage[lo]
-                    # One twiddle per lane: each of the m twiddles
-                    # repeats across its t-element pair run.
-                    s_p = np.repeat(psis_u[lo:hi, m:2 * m], t, axis=1)
-                    ssh_p = np.repeat(shoup[lo:hi, m:2 * m], t, axis=1)
-                    common = dict(
-                        x=bu[..., lo:hi, :, 0, :],
-                        y=bu[..., lo:hi, :, 1, :],
-                        xs=xs, ys=ys, t1=t1,
-                        s_p=s_p, ssh_p=ssh_p,
-                        q=q_rows_u[lo:hi], two_q=two_q_rows_u[lo:hi],
-                        xs_v=xs.reshape(lane), ys_v=ys.reshape(lane))
-                    if forward:
-                        ops += _forward_lazy_ops(
-                            t1_v=t1.reshape(lane), **common)
-                    else:
-                        ops += _inverse_lazy_ops(t2=t2, **common)
-                else:
-                    build = _strict_ct_ops if forward else _strict_gs_ops
-                    ops += build(
-                        x=b[..., lo:hi, :, 0, :],
-                        y=b[..., lo:hi, :, 1, :],
-                        s=psis[lo:hi, m:2 * m].reshape(seg, m, 1),
-                        q=q3[lo:hi],
-                        u=u3[..., lo:hi, :, :],
-                        v=v3[..., lo:hi, :, :],
-                        mask=m3[..., lo:hi, :, :])
-        # Epilogue: lazy rows fold to canonical [0, q); the inverse
-        # additionally scales every row by N^{-1}.
-        for lo, hi, lazy in segments:
+            lane = lead + (limbs, m, t)
+            # One twiddle per lane: each of the m twiddles repeats
+            # across its t-element pair run.
+            common = dict(
+                x=b[..., 0, :], y=b[..., 1, :], xs=xs, ys=ys, t1=t1,
+                s_p=np.repeat(psis_u[:, m:2 * m], t, axis=1),
+                ssh_p=np.repeat(shoup[:, m:2 * m], t, axis=1),
+                q=q, two_q=two_q,
+                xs_v=xs.reshape(lane), ys_v=ys.reshape(lane))
             if forward:
-                if lazy:
-                    ops += _forward_fold_ops(
-                        wu[..., lo:hi, :], scr[..., lo:hi, :],
-                        q_rows_u[lo:hi], two_q_rows_u[lo:hi])
-            elif lazy:
-                ops += _ninv_lazy_ops(
-                    wu[..., lo:hi, :], scr[..., lo:hi, :],
-                    self.n_inv_col[rows_all].view(np.uint64)[lo:hi],
-                    self.n_inv_shoup_col[rows_all][lo:hi],
-                    q_rows_u[lo:hi])
+                ops += _forward_ops(t1_v=t1.reshape(lane), **common)
             else:
-                ops += _ninv_strict_ops(
-                    w[..., lo:hi, :], self.n_inv_col[rows_all][lo:hi],
-                    q_rows[lo:hi])
+                ops += _inverse_ops(t2=t2, **common)
+        # Epilogue: fold to canonical [0, q); the inverse additionally
+        # scales every row by N^{-1}.
+        if forward:
+            ops += _forward_fold_ops(w, scr, q, two_q)
+        else:
+            ops += _ninv_ops(w, scr, self.n_inv_col[rows],
+                             self.n_inv_shoup_col[rows], q)
         return w, ops
 
-    def _run(self, a: np.ndarray, kind: str, rlo: int, rhi: int,
-             segments: tuple) -> None:
+    def _run(self, a: np.ndarray, kind: str, rlo: int, rhi: int) -> None:
         """Transform limb rows ``[rlo, rhi)`` of ``a`` in place."""
-        rows = a[..., rlo:rhi, :]
-        slabs = self._buffers(rows.shape[:-2] + (rhi - rlo,
-                                                 self.degree // 2))
-        w, ops = self._plan(kind, rows.shape, rlo, segments, slabs)
+        rows = a[..., rlo:rhi, :].view(np.uint64)
+        w, ops = self._plan(kind, rows.shape, rlo)
         np.copyto(w, rows)
         for op in ops:
             op()
         np.copyto(rows, w)
 
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Negacyclic NTT of every limb plane (axes ``(..., L, N)``).
-
-        2-D ``(L, N)`` inputs — the hot path from the RNS layer — split
-        their limb rows into contiguous blocks across the shared thread
-        pool; higher-rank inputs run serially (their first-axis row
-        slices are not limb planes, and middle-axis slices are not
-        contiguous views).
-        """
-        a = self._prepare(coeffs, "forward")
-        segments = self._dispatch_segments(a)
+    def _transform(self, array: np.ndarray, kind: str) -> np.ndarray:
+        """2-D ``(L, N)`` inputs — the hot path from the RNS layer —
+        split their limb rows into contiguous blocks across the shared
+        thread pool; higher-rank inputs run serially (their first-axis
+        row slices are not limb planes, and middle-axis slices are not
+        contiguous views)."""
+        a = self._prepare(array, kind)
         if a.ndim == 2:
             def work(lo: int, hi: int) -> None:
-                self._run(a, "forward", lo, hi,
-                          _clip_segments(segments, lo, hi))
+                self._run(a, kind, lo, hi)
             if limb_threads.run_blocks(len(self.basis), work) > 1:
                 instrument.count("ckks.batch_ntt.threaded")
         else:
-            self._run(a, "forward", 0, len(self.basis), segments)
+            self._run(a, kind, 0, len(self.basis))
         return a
+
+    def forward(self, coeffs: np.ndarray) -> np.ndarray:
+        """Negacyclic NTT of every limb plane (axes ``(..., L, N)``)."""
+        return self._transform(coeffs, "forward")
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT of every limb plane."""
-        a = self._prepare(values, "inverse")
-        segments = self._dispatch_segments(a)
-        if a.ndim == 2:
-            def work(lo: int, hi: int) -> None:
-                self._run(a, "inverse", lo, hi,
-                          _clip_segments(segments, lo, hi))
-            if limb_threads.run_blocks(len(self.basis), work) > 1:
-                instrument.count("ckks.batch_ntt.threaded")
-        else:
-            self._run(a, "inverse", 0, len(self.basis), segments)
-        return a
+        return self._transform(values, "inverse")
 
 
 def negacyclic_convolution(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

@@ -205,18 +205,14 @@ class RnsPolynomial:
         q_col = modulus_column(self.basis)
         out = np.empty_like(self.coeffs)
         # A precomputed Shoup dual on either operand turns the per-limb
-        # ``%`` into the divide-free mul/shift/sub pipeline (lazy rows
-        # only; wide primes still take the exact path) — bit-identical
-        # either way.
-        const, plain = None, None
-        if modmath.lazy_enabled():
-            if other.shoup is not None:
-                const, plain = other, self
-            elif self.shoup is not None:
-                const, plain = self, other
-        if const is not None:
-            modmath.shoup_mod_mul_into(plain.coeffs, const.coeffs,
-                                       const.shoup, q_col, self.basis, out)
+        # ``%`` into the divide-free mul/shift/sub pipeline —
+        # bit-identical either way.
+        if other.shoup is not None:
+            modmath.shoup_mod_mul_into(self.coeffs, other.coeffs,
+                                       other.shoup, q_col, out)
+        elif self.shoup is not None:
+            modmath.shoup_mod_mul_into(other.coeffs, self.coeffs,
+                                       self.shoup, q_col, out)
         else:
             modmath.mod_mul_into(self.coeffs, other.coeffs, q_col, out)
         if _fault_guard.ACTIVE is not None:

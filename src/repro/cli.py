@@ -343,8 +343,7 @@ def _bench_functional(args) -> int:
     print(f"wrote baseline {path} "
           f"(bootstrap {format_seconds(metrics['bootstrap_s'])}, "
           f"key switch {format_seconds(metrics['key_switch_s'])}, "
-          f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x, "
-          f"lazy speedup {metrics['ntt_lazy_speedup']:.2f}x)")
+          f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x)")
     return 0
 
 
@@ -443,8 +442,7 @@ def _bench_history(args) -> int:
                 if baseline_path(args.dir, args.workload).exists()
                 else None)
     if args.workload == "functional":
-        trend_metrics = ("bootstrap_s", "key_switch_s",
-                         "ntt_batch_speedup", "ntt_lazy_speedup")
+        trend_metrics = ("bootstrap_s", "key_switch_s", "ntt_batch_speedup")
     elif args.workload == "parallel":
         trend_metrics = ("throughput_speedup", "serial_s", "makespan_s")
     elif args.workload == "ras":
@@ -1297,8 +1295,7 @@ def _metrics_smoke(args) -> int:
 
 #: (display label, tracer-counter prefix) of the functional engine's
 #: cache-style counters, reported as hit rates.
-_FUNCTIONAL_RATES = (("scratch buffers", "ckks.scratch"),
-                     ("diag cache", "ckks.diag_cache"),
+_FUNCTIONAL_RATES = (("diag cache", "ckks.diag_cache"),
                      ("monomial cache", "ckks.monomial_cache"),
                      ("bconv tables", "ckks.bconv_tables"),
                      ("ntt tables", "ckks.ntt_tables"))
@@ -1325,16 +1322,9 @@ def _metrics_functional(args, registry, events):
         rate = hit / total if total else 0.0
         rates.set(rate, cache=prefix.split(".", 1)[1])
         lines.append(f"  {label:<16} {rate:7.2%}  ({hit}/{total} lookups)")
-    shoup = counters.get("ckks.modmath.shoup", 0)
-    strict = counters.get("ckks.modmath.strict_fallback", 0)
-    dispatched = shoup + strict
-    share = shoup / dispatched if dispatched else 0.0
-    lines.append(f"  {'shoup dispatch':<16} {share:7.2%}  "
-                 f"({shoup}/{dispatched} limb rows)")
     bench = result["metrics"]
     lines.append(f"  bootstrap {format_seconds(bench['bootstrap_s'])}, "
-                 f"NTT batch speedup {bench['ntt_batch_speedup']:.2f}x, "
-                 f"lazy speedup {bench['ntt_lazy_speedup']:.2f}x")
+                 f"NTT batch speedup {bench['ntt_batch_speedup']:.2f}x")
     events.emit("functional_bench", metrics=bench,
                 precision_max_err=result["precision_max_err"])
     return lines

@@ -104,14 +104,19 @@ class TestBitIdentical:
         assert np.array_equal(ctx.inverse(a), reference_inverse(basis, a))
 
     def test_scratch_reused_across_calls(self):
+        """Each compiled plan (work buffer + staging scratch) is built
+        once per (transform, shape) and reused by later calls."""
         rng = np.random.default_rng(5)
         ctx = BatchNttContext(DEGREE, MIXED_BASIS)
         a = random_limbs(MIXED_BASIS, DEGREE, rng)
         ctx.forward(a)
-        scratch_after_one = len(ctx._scratch)
+        plans = dict(ctx._plans)
         ctx.forward(a)
+        assert ctx._plans == plans
         ctx.inverse(a)
-        assert len(ctx._scratch) == scratch_after_one == 1
+        ctx.inverse(a)
+        assert len(ctx._plans) == 2 * len(plans)
+        assert all(ctx._plans[key] is plan for key, plan in plans.items())
 
     def test_rejects_wrong_limb_count(self):
         ctx = BatchNttContext(DEGREE, MIXED_BASIS)
@@ -128,6 +133,13 @@ class TestBitIdentical:
     def test_empty_basis_rejected(self):
         with pytest.raises(ParameterError):
             BatchNttContext(DEGREE, ())
+
+    def test_prime_above_cap_rejected(self):
+        """The single Shoup path needs ``2q < 2^32``: q ≥ 2^31 is refused."""
+        wide = 2147483713  # prime, ≡ 1 (mod 32), just above 2^31
+        assert wide > 1 << modmath.MAX_PRIME_BITS and modmath.is_prime(wide)
+        with pytest.raises(ParameterError, match="2\\^31"):
+            BatchNttContext(16, (modmath.generate_primes(1, 16)[0], wide))
 
 
 class TestNegacyclicConsistency:

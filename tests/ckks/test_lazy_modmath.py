@@ -3,11 +3,12 @@
 The lazy numeric layer (``repro.ckks.modmath`` Shoup kernels and the
 Harvey butterflies inside ``BatchNttContext``) must be *bit-identical*
 to the divide-based reference for every limb — including the 31-bit
-primes that dispatch to the strict fallback — because all pinned
-digests and baseline counters assume canonical ``[0, q)`` residues.
-These properties pin the kernels against big-int arithmetic and the
-batched NTT against the per-limb ``NttContext`` oracle across random
-NTT-friendly primes spanning 20–31 bits and degrees 16–256.
+base prime, which runs the same Shoup path once each multiplicand is
+folded into ``[0, 2q)`` — because all pinned digests and baseline
+counters assume canonical ``[0, q)`` residues.  These properties pin
+the kernels against big-int arithmetic and the batched NTT against the
+per-limb ``NttContext`` oracle across random NTT-friendly primes
+spanning 20–31 bits and degrees 16–256.
 """
 
 import numpy as np
@@ -22,14 +23,18 @@ from repro.obs.tracer import Tracer
 
 DEGREES = (16, 32, 64, 128, 256)
 
-#: Spans the dispatch boundary: 20–30-bit primes stay below 2^30 and
-#: take the lazy Shoup path; 31-bit primes are ≥ 2^30 and fall back to
-#: the exact ``%`` kernels.
+#: Up to the ``MAX_PRIME_BITS`` cap: 31-bit primes have ``4q > 2^32``,
+#: so only the fold to ``[0, 2q)`` keeps their Shoup multiplies exact.
 PRIME_BITS = (20, 22, 24, 26, 28, 29, 30, 31)
 
 
 def ntt_prime(degree: int, bits: int) -> int:
     return modmath.generate_primes(1, degree, bits=bits)[0]
+
+
+def largest_ntt_prime(degree: int) -> int:
+    """The largest NTT-friendly prime below ``2^MAX_PRIME_BITS``."""
+    return ntt_prime(degree, modmath.MAX_PRIME_BITS)
 
 
 def random_limbs(basis, degree, rng, lead=()):
@@ -57,16 +62,16 @@ def reference_inverse(basis, values):
 
 
 class TestShoupKernels:
-    @given(st.sampled_from((20, 22, 24, 26, 28, 29)), st.integers(0, 2**32))
+    @given(st.sampled_from((20, 22, 24, 26, 28, 29, 30, 31)),
+           st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_shoup_mul_matches_bigint_oracle(self, bits, seed):
         """Lazy product lands in [0, 2q) and is ≡ x·s (mod q)."""
         q = ntt_prime(64, bits)
-        assert modmath.supports_shoup(q)
         rng = np.random.default_rng(seed)
-        # x may be any lazy intermediate in [0, 4q) — the widest range
-        # a Harvey butterfly ever feeds a Shoup multiply.
-        x = rng.integers(0, 4 * q, size=64, dtype=np.int64)
+        # x may be any folded lazy intermediate in [0, 2q) — the range
+        # a Harvey butterfly feeds every Shoup multiply.
+        x = rng.integers(0, 2 * q, size=64, dtype=np.int64)
         s = int(rng.integers(0, q))
         s_shoup = modmath.shoup_precompute(s, q)
         out = modmath.shoup_mul(x, s, s_shoup, q)
@@ -115,31 +120,12 @@ class TestShoupKernels:
 
 
 class TestDispatchBoundary:
-    def test_supports_shoup_is_strict_below_2_30(self):
-        assert modmath.supports_shoup(modmath.SHOUP_MAX_PRIME - 1)
-        assert not modmath.supports_shoup(modmath.SHOUP_MAX_PRIME)
-        assert not modmath.supports_shoup(modmath.SHOUP_MAX_PRIME + 1)
-
-    def test_segments_partition_mixed_basis(self):
-        basis = tuple(ntt_prime(64, b) for b in (20, 24, 31, 30, 28))
-        segments = modmath.shoup_segments(basis)
-        covered = []
-        for lo, hi, lazy in segments:
-            for i in range(lo, hi):
-                covered.append(i)
-                assert modmath.supports_shoup(basis[i]) == lazy
-        assert covered == list(range(len(basis)))
-
-    def test_segments_single_lazy_run_for_small_primes(self):
-        basis = tuple(ntt_prime(64, 28) for _ in range(3))
-        assert modmath.shoup_segments(basis) == ((0, 3, True),)
-
     @given(st.integers(0, 2**32))
     @settings(max_examples=10, deadline=None)
     def test_strict_fallback_rows_stay_exact(self, seed):
-        """31-bit rows (≥ 2^30) go through the verbatim % path."""
+        """31-bit rows through the Shoup path ≡ the ``mod_mul`` oracle."""
         q = ntt_prime(64, 31)
-        assert not modmath.supports_shoup(q)
+        assert q >= 1 << 30
         basis = (ntt_prime(64, 28), q)
         rng = np.random.default_rng(seed)
         x = random_limbs(basis, 64, rng)
@@ -147,8 +133,24 @@ class TestDispatchBoundary:
         q_col = modulus_column(basis)
         dual = modmath.shoup_precompute(s, q_col)
         out = np.empty_like(x)
-        modmath.shoup_mod_mul_into(x, s, dual, q_col, basis, out)
+        modmath.shoup_mod_mul_into(x, s, dual, q_col, out)
         assert np.array_equal(out, modmath.mod_mul(x, s, q_col))
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_worst_case_at_largest_prime(self, degree):
+        """All-(q−1) inputs and x = 2q−1, s = q−1 at the 2^31 cap."""
+        q = largest_ntt_prime(degree)
+        assert q < 1 << modmath.MAX_PRIME_BITS
+        basis = (q,)
+        a = np.full((1, degree), q - 1, dtype=np.int64)
+        ctx = BatchNttContext(degree, basis)
+        assert np.array_equal(ctx.forward(a), reference_forward(basis, a))
+        assert np.array_equal(ctx.inverse(a), reference_inverse(basis, a))
+        s = q - 1
+        x = np.array([2 * q - 1], dtype=np.int64)
+        out = modmath.shoup_mul(x, s, modmath.shoup_precompute(s, q), q)
+        assert 0 <= int(out[0]) < 2 * q
+        assert int(out[0]) % q == (2 * q - 1) * s % q
 
 
 class TestShoupModMul:
@@ -162,7 +164,7 @@ class TestShoupModMul:
         q_col = modulus_column(basis)
         dual = modmath.shoup_precompute(s, q_col)
         out = np.empty_like(x)
-        modmath.shoup_mod_mul_into(x, s, dual, q_col, basis, out)
+        modmath.shoup_mod_mul_into(x, s, dual, q_col, out)
         assert np.array_equal(out, modmath.mod_mul(x, s, q_col))
 
     def test_counts_dispatch_per_limb_row(self):
@@ -177,13 +179,12 @@ class TestShoupModMul:
         old = instrument.get_tracer()
         instrument.set_tracer(tracer)
         try:
-            modmath.shoup_mod_mul_into(x, s, dual, q_col, basis, out)
+            modmath.shoup_mod_mul_into(x, s, dual, q_col, out)
         finally:
             instrument.set_tracer(old)
-        # (28, 28, 31, 30): the 30-bit prime is still < 2^30, so only
-        # the 31-bit row takes the fallback.
-        assert tracer.counters["ckks.modmath.shoup"] == 3
-        assert tracer.counters["ckks.modmath.strict_fallback"] == 1
+        # (28, 28, 31, 30): every row, the 31-bit one included, takes
+        # the Shoup path.
+        assert tracer.counters["ckks.modmath.shoup"] == 4
 
 
 class TestLazyNttBitIdentity:
@@ -212,30 +213,6 @@ class TestLazyNttBitIdentity:
         fwd = ctx.forward(a)
         assert np.array_equal(fwd, reference_forward(basis, a))
         assert np.array_equal(ctx.inverse(fwd), a)
-
-    @given(st.integers(0, 2**32))
-    @settings(max_examples=10, deadline=None)
-    def test_lazy_scope_off_is_identical(self, seed):
-        """Disabling lazy kernels must not change a single bit."""
-        basis = tuple(ntt_prime(64, b) for b in (20, 28, 31))
-        rng = np.random.default_rng(seed)
-        a = random_limbs(basis, 64, rng)
-        ctx = BatchNttContext(64, basis)
-        lazy_fwd = ctx.forward(a)
-        with modmath.lazy_scope(False):
-            strict_fwd = ctx.forward(a)
-            strict_inv = ctx.inverse(lazy_fwd)
-        assert np.array_equal(lazy_fwd, strict_fwd)
-        assert np.array_equal(strict_inv, ctx.inverse(lazy_fwd))
-        assert np.array_equal(strict_inv, a)
-
-    def test_lazy_scope_restores_on_exception(self):
-        assert modmath.lazy_enabled()
-        with pytest.raises(RuntimeError):
-            with modmath.lazy_scope(False):
-                assert not modmath.lazy_enabled()
-                raise RuntimeError("boom")
-        assert modmath.lazy_enabled()
 
 
 class TestRnsShoupDuals:
@@ -271,10 +248,11 @@ class TestRnsShoupDuals:
         assert np.array_equal(sub.shoup, a.shoup[:2])
 
     def test_mul_with_lazy_disabled_matches(self):
+        """The Shoup product ≡ the ``mod_mul`` oracle on every limb."""
         a = self._random_poly(4)
         b = self._random_poly(5)
         b.ensure_shoup()
-        lazy = (a * b).coeffs
-        with modmath.lazy_scope(False):
-            strict = (a * b).coeffs
-        assert np.array_equal(lazy, strict)
+        expected = modmath.mod_mul(a.coeffs, b.coeffs,
+                                   modulus_column(self.BASIS))
+        assert np.array_equal((a * b).coeffs, expected)
+        assert np.array_equal((b * a).coeffs, expected)

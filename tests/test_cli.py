@@ -315,7 +315,7 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "anaheim_functional_events_total" in out
         assert "anaheim_functional_hit_rate" in out
-        assert "scratch buffers" in out
+        assert "ntt tables" in out
 
 
 class TestTopCommand:
