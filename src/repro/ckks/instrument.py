@@ -8,7 +8,8 @@ module-level tracer can be attached around a region of interest
 where its speedup comes from:
 
 * ``ckks.batch_ntt.forward`` / ``ckks.batch_ntt.inverse`` — batched
-  limb-plane transforms (each replaces ``L`` per-limb transforms).
+  limb-plane transforms (each replaces ``L`` per-limb transforms; a
+  stacked call covers several polynomials, e.g. a ciphertext's b and a).
 * ``ckks.batch_ntt.limbs`` — limbs transformed in those calls.
 * ``ckks.batch_ntt.threaded`` — transforms that split their limb
   planes across the :mod:`repro.parallel.threads` row-block pool.

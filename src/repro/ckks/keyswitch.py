@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ckks import instrument, modmath
-from repro.ckks.rns import RnsPolynomial, basis_product, modulus_column
+from repro.ckks.rns import (RnsPolynomial, basis_product, modulus_column,
+                            stacked_ntt)
 from repro.errors import ParameterError
 from repro.parallel import threads as limb_threads
 
@@ -177,59 +178,92 @@ class DigitDecomposition:
         return [g % q for q in self.full_basis]
 
 
-def mod_up(poly: RnsPolynomial, group: tuple, target_basis: tuple,
-           coeff: RnsPolynomial | None = None) -> RnsPolynomial:
-    """ModUp: extend one decomposition digit to ``target_basis``.
+def _shared_basis(polys) -> tuple:
+    """The polynomials as a tuple, checked to share one basis."""
+    polys = tuple(polys)
+    if any(p.basis != polys[0].basis for p in polys):
+        raise ParameterError("stacked polynomials must share one basis")
+    return polys
 
-    ``group`` are the digit's primes (a subset of both ``poly.basis``
-    and ``target_basis``).  Input must be NTT-applied; output is
-    NTT-applied over ``target_basis``.  Internally: INTT → BConv → NTT —
-    exactly the paper's ModSwitch structure.
 
-    ``coeff`` optionally supplies the coefficient-domain copy of
-    ``poly`` so callers extending several digits (ModUp of every
-    decomposition group) run the INTT once for all limbs instead of
-    once per digit; limb-wise the transform is independent, so
-    restricting before or after the INTT is bit-identical.
+def _basis_convert_planes(polys, dst_basis: tuple) -> list:
+    """BConv of several polynomials sharing one basis, in one call.
+
+    BConv is column-independent, so the planes go side by side on the
+    coefficient axis — one ``(|src|, k·N)`` conversion, split back into
+    ``k`` planes over ``dst_basis`` bit-identical to converting each.
     """
-    limbs = poly.restrict(group)
-    if coeff is None:
-        coeff_group = limbs.from_ntt()
-    else:
-        coeff_group = coeff.restrict(group)
-    rest = tuple(q for q in target_basis if q not in group)
-    extended = basis_convert(coeff_group, rest).to_ntt()
-    combined = limbs.to_ntt().concat(extended)
-    return combined.restrict(target_basis)
+    wide = RnsPolynomial(np.hstack([p.coeffs for p in polys]),
+                         polys[0].basis, is_ntt=False)
+    out = basis_convert(wide, dst_basis)
+    return [RnsPolynomial(block, dst_basis, is_ntt=False)
+            for block in np.hsplit(out.coeffs, len(polys))]
 
 
-def mod_down(poly: RnsPolynomial, moduli: tuple,
-             aux_moduli: tuple) -> RnsPolynomial:
-    """ModDown: divide a PQ-basis polynomial by P, returning basis Q.
+def mod_up(poly: RnsPolynomial, groups, target_basis: tuple) -> list:
+    """ModUp: extend every decomposition digit to ``target_basis``.
 
-    The final per-limb step ``x = P^{-1} · (a - b)`` is the PIM
-    ``ModDownEp`` instruction (Table II).
+    ``groups`` are the digits' primes (each a subset of both
+    ``poly.basis`` and ``target_basis``).  Input must be NTT-applied;
+    returns one NTT-applied polynomial over ``target_basis`` per group.
+    It is the paper's ModSwitch structure INTT → BConv → NTT with both
+    transforms shared by all digits: one INTT of ``poly``, one BConv
+    per digit (each digit has its own source and destination basis),
+    then one forward NTT of every digit's BConv output, stacked over the
+    concatenated basis ``rest_0 + rest_1 + …``.
     """
-    q_part = poly.restrict(moduli)
-    p_part = poly.restrict(aux_moduli)
-    p_in_q = basis_convert(p_part.from_ntt(), moduli).to_ntt()
+    coeff = poly.from_ntt()
+    rests = [tuple(q for q in target_basis if q not in group)
+             for group in groups]
+    extended = stacked_ntt([basis_convert(coeff.restrict(group), rest)
+                            for group, rest in zip(groups, rests)])
+    return [poly.restrict(group).concat(ext).restrict(target_basis)
+            for group, ext in zip(groups, extended)]
+
+
+def mod_down(polys, moduli: tuple, aux_moduli: tuple) -> tuple:
+    """ModDown: divide PQ-basis polynomials by P, returning basis Q.
+
+    ``polys`` are NTT-applied polynomials sharing one basis (a
+    ciphertext's b and a); returns a tuple in the same order.  They
+    share one INTT of their P parts, one BConv and one NTT (the §V
+    fusion of the a/b halves).  The final per-limb step
+    ``x = P^{-1} · (a - b)`` — the PIM ``ModDownEp`` instruction
+    (Table II) — stays per polynomial, in order.
+    """
+    polys = _shared_basis(polys)
+    p_parts = stacked_ntt([p.restrict(aux_moduli) for p in polys],
+                          inverse=True)
+    p_in_q = stacked_ntt(_basis_convert_planes(p_parts, moduli))
     p_prod = basis_product(aux_moduli)
     inv_p = [modmath.mod_inverse(p_prod % q, q) for q in moduli]
-    return (q_part - p_in_q).scalar_mul(inv_p)
+    return tuple((p.restrict(moduli) - conv).scalar_mul(inv_p)
+                 for p, conv in zip(polys, p_in_q))
 
 
-def rescale_poly(poly: RnsPolynomial) -> RnsPolynomial:
-    """Divide by the last prime of the basis and drop its limb."""
-    if poly.limb_count < 2:
+def rescale_poly(polys) -> tuple:
+    """Divide by the last prime of the basis and drop its limb.
+
+    ``polys`` are polynomials sharing one basis and domain (a
+    ciphertext's b and a); returns a tuple in the same order.  They
+    share one INTT of the last limb, one BConv and one NTT; the
+    subtract and scalar multiply stay per polynomial, in order.
+    """
+    polys = _shared_basis(polys)
+    if polys[0].limb_count < 2:
         raise ParameterError("cannot rescale a single-limb polynomial")
-    last = poly.basis[-1]
-    kept = poly.basis[:-1]
-    last_limb = poly.restrict((last,))
-    last_in_kept = basis_convert(last_limb.from_ntt(), kept)
-    if poly.is_ntt:
-        last_in_kept = last_in_kept.to_ntt()
+    is_ntt = polys[0].is_ntt
+    last = polys[0].basis[-1]
+    kept = polys[0].basis[:-1]
+    last_limbs = [p.restrict((last,)) for p in polys]
+    if is_ntt:
+        last_limbs = stacked_ntt(last_limbs, inverse=True)
+    last_in_kept = _basis_convert_planes(last_limbs, kept)
+    if is_ntt:
+        last_in_kept = stacked_ntt(last_in_kept)
     inv = [modmath.mod_inverse(last % q, q) for q in kept]
-    return (poly.restrict(kept) - last_in_kept).scalar_mul(inv)
+    return tuple((p.restrict(kept) - conv).scalar_mul(inv)
+                 for p, conv in zip(polys, last_in_kept))
 
 
 def key_mult(digits: list, evk) -> tuple:
@@ -260,16 +294,14 @@ def decompose_digits(poly: RnsPolynomial, decomp: DigitDecomposition):
     """
     current = poly.basis
     target = current + decomp.aux_moduli
-    coeff = poly.from_ntt()    # shared INTT for every digit's ModUp
-    digits = []
+    groups = []
     indices = []
     for j in range(decomp.dnum):
         group = tuple(q for q in decomp.group(j) if q in current)
-        if not group:
-            continue
-        digits.append(mod_up(poly, group, target, coeff=coeff))
-        indices.append(j)
-    return digits, indices, target
+        if group:
+            groups.append(group)
+            indices.append(j)
+    return mod_up(poly, groups, target), indices, target
 
 
 def key_switch(poly: RnsPolynomial, evk, decomp: DigitDecomposition) -> tuple:
@@ -291,6 +323,4 @@ def key_switch(poly: RnsPolynomial, evk, decomp: DigitDecomposition) -> tuple:
         term_a = digit * evk_a
         acc_b = term_b if acc_b is None else acc_b + term_b
         acc_a = term_a if acc_a is None else acc_a + term_a
-    b = mod_down(acc_b, poly.basis, decomp.aux_moduli)
-    a = mod_down(acc_a, poly.basis, decomp.aux_moduli)
-    return b, a
+    return mod_down((acc_b, acc_a), poly.basis, decomp.aux_moduli)

@@ -14,29 +14,45 @@ from functools import lru_cache
 import numpy as np
 
 from repro.ckks import modmath
-from repro.ckks.ntt import BatchNttContext, NttContext
+from repro.ckks.ntt import TWIDDLE_CACHE_SIZE, BatchNttContext, NttContext
 from repro.errors import ParameterError
 from repro.faults import guard as _fault_guard
 
 
-@lru_cache(maxsize=None)
+#: Bound on the basis-keyed caches below (batched NTT engines and
+#: modulus columns).  A leveled computation wants one entry per level
+#: and per stacking pattern — a ciphertext's ``Q+Q`` b/a planes, the
+#: ``P+P`` ModDown input, every level's ``rest_0+rest_1+…`` ModUp
+#: digits — so the working set is O(levels): a warm bootstrap plus a
+#: hoisted transform at the bench parameters touch 50 bases.  512 keeps
+#: a paper-scale working set resident (no rebuild per bootstrap) while
+#: capping growth when a long serve run sweeps many parameter sets.
+BASIS_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=TWIDDLE_CACHE_SIZE)
 def ntt_context(degree: int, q: int) -> NttContext:
-    """Shared, cached NTT tables per (degree, prime)."""
+    """Shared, cached NTT tables per (degree, prime).
+
+    Keyed like the twiddle-table cache it reads from, so it shares that
+    cache's bound.
+    """
     return NttContext(degree, q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def batch_ntt_context(degree: int, basis: tuple) -> BatchNttContext:
     """Shared, cached batched NTT engine per (degree, basis).
 
     Built from the cached per-prime contexts so both paths share the
-    exact same twiddle tables.
+    exact same twiddle tables.  ``basis`` may repeat primes: stacked
+    polynomials are transformed as rows over their concatenated basis.
     """
     return BatchNttContext(
         degree, basis, contexts=[ntt_context(degree, q) for q in basis])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def modulus_column(basis: tuple) -> np.ndarray:
     """``(L, 1)`` int64 column of the basis primes for broadcasting."""
     return np.array(basis, dtype=np.int64).reshape(len(basis), 1)
@@ -48,6 +64,28 @@ def basis_product(basis: tuple) -> int:
     for q in basis:
         prod *= q
     return prod
+
+
+def stacked_ntt(polys, inverse: bool = False) -> list:
+    """(I)NTT of several same-degree polynomials in one batched call.
+
+    The limb planes are stacked as the rows of one 2-D ``(ΣL_i, N)``
+    matrix over the concatenated basis (repeated primes are fine — each
+    row carries its own twiddle plane), so the call keeps the thread
+    pool's row split and pays the per-call overhead once.  Every row
+    transforms exactly as in its own call: the results are bit-identical
+    to ``[p.to_ntt() for p in polys]`` (or ``from_ntt``).
+    """
+    polys = list(polys)
+    if any(p.is_ntt != inverse for p in polys):
+        raise ParameterError("stacked operands are in the wrong domain")
+    basis = tuple(q for p in polys for q in p.basis)
+    ctx = batch_ntt_context(polys[0].degree, basis)
+    planes = np.vstack([p.coeffs for p in polys])
+    out = ctx.inverse(planes) if inverse else ctx.forward(planes)
+    bounds = np.cumsum([p.limb_count for p in polys])[:-1]
+    return [RnsPolynomial(rows, p.basis, is_ntt=not inverse)
+            for rows, p in zip(np.split(out, bounds), polys)]
 
 
 @dataclass

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.ckks import modmath
+from repro.ckks import instrument, modmath
 from repro.ckks.automorphism import (apply_automorphism, conjugation_element,
                                      galois_element)
 from repro.ckks.rns import RnsPolynomial
 from repro.errors import ParameterError
+from repro.obs.tracer import Tracer
 
 N = 64
 BASIS = tuple(modmath.generate_primes(2, N, bits=26))
+FULL_N = 2 ** 7
+#: Multi-limb basis led by a 31-bit base prime, like the bench basis.
+FULL_BASIS = (tuple(modmath.generate_primes(1, FULL_N, bits=31))
+              + tuple(modmath.generate_primes(3, FULL_N, bits=28)))
 
 
 def _random_poly(seed):
@@ -79,11 +84,40 @@ class TestApplyAutomorphism:
         assert out.is_ntt
 
     def test_ntt_domain_consistency(self):
-        """Automorphism commutes with the (I)NTT round-trip."""
-        p = _random_poly(5)
-        via_coeff = apply_automorphism(p, 5).to_ntt()
-        via_ntt = apply_automorphism(p.to_ntt(), 5)
-        assert np.array_equal(via_coeff.coeffs, via_ntt.coeffs)
+        """The evaluation-domain gather ≡ the coefficient round trip.
+
+        Bit-identity for every Galois element at N=2^7 (all rotations
+        plus conjugation) on a multi-limb basis led by a 31-bit base
+        prime, and for the original N=64 case.
+        """
+        full_galois = [galois_element(r, FULL_N) for r in range(FULL_N // 2)]
+        full_galois.append(conjugation_element(FULL_N))
+        rng = np.random.default_rng(5)
+        cases = [(_random_poly(5), [5]),
+                 (RnsPolynomial.random_uniform(FULL_N, FULL_BASIS, rng,
+                                               is_ntt=False), full_galois)]
+        for p, elements in cases:
+            p_ntt = p.to_ntt()
+            for g in elements:
+                via_coeff = apply_automorphism(p, g).to_ntt()
+                via_ntt = apply_automorphism(p_ntt, g)
+                assert via_ntt.is_ntt and via_ntt.basis == p.basis
+                assert np.array_equal(via_coeff.coeffs, via_ntt.coeffs), g
+
+    def test_ntt_domain_runs_no_transform(self):
+        """NTT-form input is one gather: no batched (I)NTT dispatch."""
+        p = RnsPolynomial.random_uniform(FULL_N, FULL_BASIS,
+                                         np.random.default_rng(6))
+        tracer = Tracer()
+        old = instrument.get_tracer()
+        instrument.set_tracer(tracer)
+        try:
+            apply_automorphism(p, galois_element(1, FULL_N))
+            apply_automorphism(p, conjugation_element(FULL_N))
+        finally:
+            instrument.set_tracer(old)
+        assert "ckks.batch_ntt.forward" not in tracer.counters
+        assert "ckks.batch_ntt.inverse" not in tracer.counters
 
     def test_slot_rotation_semantics(self, small_context, rng, small_params):
         """φ_{5^r} rotates the decoded slot vector left by r."""

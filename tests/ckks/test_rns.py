@@ -1,11 +1,14 @@
 """Tests for RNS polynomial representation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckks import modmath
+from repro.ckks import modmath, rns
+from repro.ckks.ntt import TWIDDLE_CACHE_SIZE
 from repro.ckks.rns import RnsPolynomial, basis_product
 from repro.errors import ParameterError
 
@@ -112,3 +115,54 @@ class TestBasisManipulation:
         a = _poly_from([0] * N)
         with pytest.raises(ParameterError):
             a.concat(a)
+
+
+class TestBasisCaches:
+    """The basis-keyed caches are bounded: stacked planes multiply the
+    distinct bases a run touches, and a long run sweeping many parameter
+    sets must not grow memory without bound."""
+
+    def test_sweep_of_distinct_bases_stays_at_bound(self):
+        primes = tuple(modmath.generate_primes(12, 16, bits=20))
+        bases = [c for k in (3, 4) for c in itertools.combinations(primes, k)]
+        assert len(bases) > rns.BASIS_CACHE_SIZE
+        try:
+            for basis in bases:
+                rns.modulus_column(basis)
+                rns.batch_ntt_context(16, basis)
+            for cached in (rns.modulus_column, rns.batch_ntt_context):
+                info = cached.cache_info()
+                assert info.maxsize == rns.BASIS_CACHE_SIZE
+                assert info.currsize == rns.BASIS_CACHE_SIZE
+        finally:
+            rns.modulus_column.cache_clear()
+            rns.batch_ntt_context.cache_clear()
+
+    def test_sweep_of_distinct_primes_stays_at_bound(self):
+        degrees = (16, 32, 64, 128)
+        count = TWIDDLE_CACHE_SIZE // len(degrees) + 8
+        primes = modmath.generate_primes(count, max(degrees), bits=24)
+        try:
+            for q in primes:
+                for degree in degrees:
+                    rns.ntt_context(degree, q)
+            info = rns.ntt_context.cache_info()
+            assert info.maxsize == TWIDDLE_CACHE_SIZE
+            assert info.currsize == TWIDDLE_CACHE_SIZE
+        finally:
+            rns.ntt_context.cache_clear()
+
+    def test_stacked_ntt_matches_one_call_each(self):
+        rng = np.random.default_rng(9)
+        polys = [RnsPolynomial.random_uniform(N, basis, rng, is_ntt=False)
+                 for basis in (BASIS, BASIS[:2], BASIS)]
+        stacked = rns.stacked_ntt(polys)
+        for out, poly in zip(stacked, polys):
+            assert out.is_ntt and out.basis == poly.basis
+            assert np.array_equal(out.coeffs, poly.to_ntt().coeffs)
+        back = rns.stacked_ntt(stacked, inverse=True)
+        for out, poly in zip(back, polys):
+            assert not out.is_ntt
+            assert np.array_equal(out.coeffs, poly.coeffs)
+        with pytest.raises(ParameterError):
+            rns.stacked_ntt(polys, inverse=True)
