@@ -80,24 +80,44 @@ class Lowering:
     # -- Entry point -----------------------------------------------------------
 
     def lower(self, blocks, label: str = "") -> Trace:
+        """Lower ``blocks`` in order into one kernel trace.
+
+        Programs repeat a few hundred distinct blocks hundreds of
+        thousands of times, so each distinct block is lowered once per
+        call and its repeats share that kernel list (kernels are
+        immutable).  The memo is keyed by exactly the block fields the
+        ``_lower_<kind>`` handlers read and lives for this call only.
+        """
         trace = Trace(label=label)
+        extend = trace.kernels.extend
         tracer = self.tracer
+        memo: dict = {}
         for block in blocks:
-            handler = getattr(self, f"_lower_{block.kind}", None)
-            if handler is None:
-                raise ParameterError(f"unknown block kind {block.kind!r}")
+            key = (block.kind, block.limbs, block.aux, block.dnum,
+                   block.count, block.polys, tuple(block.attrs.items()))
             if tracer is None:
-                trace.extend(handler(block))
+                kernels = memo.get(key)
+                if kernels is None:
+                    kernels = memo[key] = self._lower_block(block)
+                extend(kernels)
                 continue
             with tracer.span(f"lower.{block.kind}", limbs=block.limbs):
-                kernels = handler(block)
+                kernels = memo.get(key)
+                if kernels is None:
+                    kernels = memo[key] = self._lower_block(block)
             tracer.count("lower.blocks")
             tracer.count(f"lower.blocks.{block.kind}")
             for kernel in kernels:
                 device = "pim" if isinstance(kernel, PimKernel) else "gpu"
                 tracer.count(f"lower.kernels.{device}")
-            trace.extend(kernels)
+            extend(kernels)
         return trace
+
+    def _lower_block(self, block: Block) -> list:
+        handler = getattr(self, f"_lower_{block.kind}", None)
+        if handler is None:
+            raise ParameterError(f"unknown block kind {block.kind!r}")
+        return handler(block)
 
     # -- Element-wise emission (GPU kernel or PIM instruction) ------------------
 

@@ -222,8 +222,88 @@ class _SchedulerMetrics:
                                     category=category.value)
 
 
+def _counter_hook(model):
+    """``model.account``, or None when the model has no tracer or
+    metrics registry to count into (the common, uninstrumented run)."""
+    if model is None or (model.tracer is None and model.metrics is None):
+        return None
+    return model.account
+
+
+class _ShapeCosts:
+    """Prices each distinct kernel shape once, for one scheduler run.
+
+    A kernel's cost is a pure function of a few of its fields (its
+    *shape*), and a paper-scale trace repeats a few hundred shapes
+    hundreds of thousands of times.  The first kernel of a shape is
+    priced through the cache and device models; its repeats reuse that
+    entry.  The device models still count every kernel
+    (:meth:`GpuModel.account`, :meth:`PimExecutor.account`).  Keys are
+    field values, never ``id()``: the fallback kernels a resilient run
+    builds and drops would otherwise alias recycled ids.
+
+    Each entry also carries its category's running-time cell, so the
+    plain loop adds to ``time_by_category`` without hashing an enum per
+    kernel; cells are made in first-seen order, because the first
+    kernel of every category is necessarily the first of its shape.
+    """
+
+    def __init__(self, gpu_model: GpuModel, pim_executor, cache: CacheModel):
+        self.gpu_model = gpu_model
+        self.pim_executor = pim_executor
+        self.cache = cache
+        self._gpu: dict = {}
+        self._pim: dict = {}
+        self._cells: dict = {}
+        self._count_gpu = _counter_hook(gpu_model)
+        self._count_pim = _counter_hook(pim_executor)
+
+    def _cell(self, category: OpCategory) -> list:
+        return self._cells.setdefault(category, [0.0])
+
+    def time_by_category(self) -> dict:
+        return {category: cell[0] for category, cell in self._cells.items()}
+
+    def gpu(self, kernel: GpuKernel) -> tuple:
+        """``(cost, energy, is_transfer, cell)`` of one GPU kernel."""
+        category = kernel.category
+        # The member's value string stands in for the member: hashing an
+        # enum member runs Python-level ``Enum.__hash__`` every lookup.
+        key = (category._value_, kernel.mod_ops, kernel.bytes_read,
+               kernel.bytes_written, kernel.streaming_bytes)
+        entry = self._gpu.get(key)
+        if entry is None:
+            model = self.gpu_model
+            cost = model.kernel_cost(kernel,
+                                     dram_bytes=self.cache.dram_bytes(kernel))
+            entry = self._gpu[key] = (
+                cost, model.kernel_energy(kernel, cost),
+                category is OpCategory.TRANSFER, self._cell(category))
+        if self._count_gpu is not None:
+            self._count_gpu(category, entry[0])
+        return entry
+
+    def pim(self, kernel: PimKernel) -> tuple:
+        """``(nominal cost, cell)`` of one PIM kernel."""
+        key = (kernel.instruction, kernel.limbs, kernel.degree,
+               kernel.fan_in, kernel.column_partitioned)
+        entry = self._pim.get(key)
+        if entry is None:
+            entry = self._pim[key] = (self.pim_executor.cost(kernel),
+                                      self._cell(kernel.category))
+        if self._count_pim is not None:
+            self._count_pim(kernel.instruction, entry[0])
+        return entry
+
+
 class Scheduler:
-    """Executes a trace against a GPU model and (optionally) a PIM device."""
+    """Executes a trace against a GPU model and (optionally) a PIM device.
+
+    Each :meth:`run` prices every distinct kernel shape once
+    (:class:`_ShapeCosts`) but still adds each kernel's increments into
+    the report one kernel at a time, in trace order: float addition is
+    not associative, and the pinned figures compare exactly.
+    """
 
     def __init__(self, gpu_model: GpuModel,
                  pim_executor: PimExecutor | None = None,
@@ -243,31 +323,40 @@ class Scheduler:
 
     # -- Per-kernel dispatch (split out so tracing wraps one call) ----------
 
-    def _dispatch_pim(self, kernel: PimKernel, report: ScheduleReport) -> float:
-        cost = self.pim_executor.cost(kernel)
+    @staticmethod
+    def _account_pim(cost, report: ScheduleReport) -> None:
         report.pim_time += cost.time
         report.pim_internal_bytes += cost.internal_bytes
         report.pim_activations += cost.activations
         report.energy_pim += cost.energy
-        return cost.time
 
-    def _dispatch_gpu(self, kernel: GpuKernel, report: ScheduleReport) -> float:
-        dram = self.cache.dram_bytes(kernel)
-        cost = self.gpu_model.kernel_cost(kernel, dram_bytes=dram)
+    def _dispatch_pim(self, kernel: PimKernel, report: ScheduleReport,
+                      costs: _ShapeCosts) -> tuple:
+        """Charge one PIM kernel; returns ``(seconds, category cell)``."""
+        cost, cell = costs.pim(kernel)
+        self._account_pim(cost, report)
+        return cost.time, cell
+
+    def _dispatch_gpu(self, kernel: GpuKernel, report: ScheduleReport,
+                      costs: _ShapeCosts) -> tuple:
+        """Charge one GPU kernel; returns ``(seconds, category cell)``."""
+        cost, energy, is_transfer, cell = costs.gpu(kernel)
         report.gpu_time += cost.time
         report.gpu_dram_bytes += cost.dram_bytes
-        if kernel.category is OpCategory.TRANSFER:
+        if is_transfer:
             report.transfer_bytes += cost.dram_bytes
-        report.energy_gpu_dynamic += self.gpu_model.kernel_energy(
-            kernel, cost)
-        return cost.time
+        report.energy_gpu_dynamic += energy
+        return cost.time, cell
 
     def run(self, trace: Trace) -> ScheduleReport:
         report = ScheduleReport(label=trace.label)
+        costs = _ShapeCosts(self.gpu_model, self.pim_executor, self.cache)
         clock = 0.0
         previous_device = None
         overhead = self.gpu_model.config.pim_transition_overhead
-        tracer = self.tracer
+        tracer, metrics = self.tracer, self._m
+        keep_segments = self.keep_segments
+        dispatch_pim, dispatch_gpu = self._dispatch_pim, self._dispatch_gpu
         for kernel in trace:
             if isinstance(kernel, PimKernel):
                 if self.pim_executor is None:
@@ -275,37 +364,37 @@ class Scheduler:
                         "trace contains PIM kernels but no PIM executor "
                         "was provided")
                 device = "pim"
-                dispatch = self._dispatch_pim
+                dispatch = dispatch_pim
             else:
                 device = "gpu"
-                dispatch = self._dispatch_gpu
+                dispatch = dispatch_gpu
             if tracer is None:
-                duration = dispatch(kernel, report)
+                duration, cell = dispatch(kernel, report, costs)
             else:
                 name = f"dispatch.{device}.{kernel.category.value}"
                 with tracer.span(name, kernel=kernel.name):
-                    duration = dispatch(kernel, report)
+                    duration, cell = dispatch(kernel, report, costs)
                 tracer.count(f"scheduler.kernels.{device}")
-            if self._m is not None:
-                self._m.kernel(device, kernel.category, duration)
+            if metrics is not None:
+                metrics.kernel(device, kernel.category, duration)
             if previous_device is not None and previous_device != device:
                 clock += overhead
                 report.transition_time += overhead
                 report.transitions += 1
                 if tracer is not None:
                     tracer.count("scheduler.transitions")
-                if self._m is not None:
-                    self._m.transitions.inc()
+                if metrics is not None:
+                    metrics.transitions.inc()
             start = clock
             clock += duration
-            report.time_by_category[kernel.category] = (
-                report.time_by_category.get(kernel.category, 0.0) + duration)
-            if self.keep_segments:
+            cell[0] += duration
+            if keep_segments:
                 report.segments.append(Segment(
                     start=start, end=clock, device=device,
                     name=kernel.name, category=kernel.category))
             previous_device = device
         report.total_time = clock
+        report.time_by_category = costs.time_by_category()
         report.energy_gpu_idle = self.gpu_model.config.idle_power * clock
         return report
 
@@ -379,29 +468,10 @@ class ResilientScheduler(Scheduler):
         if ras is not None:
             ras.bind(self.injector, health)
 
-    # -- Per-execution accounting helpers ------------------------------------
-
-    def _account_pim(self, cost, report: ScheduleReport) -> None:
-        report.pim_time += cost.time
-        report.pim_internal_bytes += cost.internal_bytes
-        report.pim_activations += cost.activations
-        report.energy_pim += cost.energy
-
-    def _account_gpu(self, kernel: GpuKernel,
-                     report: ScheduleReport) -> float:
-        dram = self.cache.dram_bytes(kernel)
-        cost = self.gpu_model.kernel_cost(kernel, dram_bytes=dram)
-        report.gpu_time += cost.time
-        report.gpu_dram_bytes += cost.dram_bytes
-        if kernel.category is OpCategory.TRANSFER:
-            report.transfer_bytes += cost.dram_bytes
-        report.energy_gpu_dynamic += self.gpu_model.kernel_energy(kernel,
-                                                                  cost)
-        return cost.time
-
     def run(self, trace: Trace) -> ScheduleReport:
         if self.injector is None:
             return super().run(trace)
+        costs = _ShapeCosts(self.gpu_model, self.pim_executor, self.cache)
         plan, injector = self.plan, self.injector
         tracer = self.tracer
         ras = self.ras
@@ -480,7 +550,7 @@ class ResilientScheduler(Scheduler):
                 health.note_quarantine(site, clock)
 
         def gpu_fallback(pim_name: str, fallback) -> None:
-            fb_duration = self._account_gpu(fallback, report)
+            fb_duration, _ = self._dispatch_gpu(fallback, report, costs)
             fb_verify = self.gpu_model.verify_cost(fallback)
             report.gpu_time += fb_verify
             advance(fb_duration + fb_verify, "gpu",
@@ -546,7 +616,7 @@ class ResilientScheduler(Scheduler):
                                               instruction=instruction,
                                               site=site)
                 if device == "pim":
-                    nominal = self.pim_executor.cost(exec_kernel)
+                    nominal, _ = costs.pim(exec_kernel)
                     executed = self.pim_executor.apply_fault(nominal, fault)
                     if (kernel_timeout is not None and fault is None
                             and executed.time > kernel_timeout):
@@ -579,7 +649,8 @@ class ResilientScheduler(Scheduler):
                     verify = plan.pim_verify_overhead * nominal.time
                     report.pim_time += verify
                 else:
-                    duration = self._account_gpu(exec_kernel, report)
+                    duration, _ = self._dispatch_gpu(exec_kernel, report,
+                                                     costs)
                     verify = self.gpu_model.verify_cost(exec_kernel)
                     report.gpu_time += verify
                 label = exec_kernel.name if attempts == 0 else (

@@ -11,6 +11,10 @@ the IR those passes manipulate:
   all-bank over a set of limbs.
 * :class:`Trace` — an ordered kernel list plus helpers the fusion,
   reordering, and offload passes use.
+
+Kernel records are immutable: lowering hands every repeat of a block
+the same kernel objects, so passes derive new kernels with
+:func:`dataclasses.replace` instead of editing them in place.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ CATEGORY_LABELS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuKernel:
     """One GPU kernel launch with analytic cost inputs.
 
@@ -71,7 +75,7 @@ class GpuKernel:
         return tag in self.tags
 
 
-@dataclass
+@dataclass(frozen=True)
 class PimKernel:
     """A PIM kernel: one Table II instruction over many limb-vectors.
 

@@ -79,7 +79,8 @@ class GpuModel:
 
     def kernel_cost(self, kernel: GpuKernel,
                     dram_bytes: float | None = None) -> KernelCost:
-        """Roofline time for one kernel.
+        """Roofline time for one kernel: a pure function of its category,
+        ``mod_ops`` and DRAM traffic.
 
         ``dram_bytes`` optionally overrides the DRAM traffic (the cache
         model may find part of the footprint resident in L2); kernel
@@ -95,15 +96,23 @@ class GpuModel:
         bw = cfg.dram_bandwidth * self._bandwidth_efficiency(kernel.category)
         memory_time = dram_bytes / bw if dram_bytes else 0.0
         time = max(compute_time, memory_time) + cfg.kernel_launch_overhead
-        if self.tracer is not None:
-            self.tracer.count("gpu.kernel_costs")
-            self.tracer.count(f"gpu.kernel_costs.{kernel.category.value}")
-            self.tracer.count("gpu.dram_bytes", dram_bytes)
-        if self.metrics is not None:
-            self._m_costs.inc(category=kernel.category.value)
-            self._m_dram.inc(dram_bytes)
         return KernelCost(time=time, compute_time=compute_time,
                           memory_time=memory_time, dram_bytes=dram_bytes)
+
+    def account(self, category: OpCategory, cost: KernelCost) -> None:
+        """Count one dispatched kernel's ``cost`` in the attached
+        tracer/metrics.
+
+        Kept apart from :meth:`kernel_cost` so a caller that prices each
+        distinct kernel shape once still counts every kernel it runs.
+        """
+        if self.tracer is not None:
+            self.tracer.count("gpu.kernel_costs")
+            self.tracer.count(f"gpu.kernel_costs.{category.value}")
+            self.tracer.count("gpu.dram_bytes", cost.dram_bytes)
+        if self.metrics is not None:
+            self._m_costs.inc(category=category.value)
+            self._m_dram.inc(cost.dram_bytes)
 
     def kernel_energy(self, kernel: GpuKernel, cost: KernelCost) -> float:
         """Dynamic energy of one kernel (J).

@@ -109,6 +109,8 @@ class PimExecutor:
     # -- Core timing --------------------------------------------------------
 
     def cost(self, kernel: PimKernel, fault=None) -> PimCost:
+        """Time, energy and command counts of one kernel: a pure function
+        of (instruction, limbs, degree, fan_in, column_partitioned)."""
         cfg = self.config
         inst = isa.instruction(kernel.instruction)
         fan_in = kernel.fan_in
@@ -147,27 +149,27 @@ class PimExecutor:
         energy = (total_acts * cfg.energy.act_energy
                   + internal_bytes * 8.0 * cfg.access_pj_per_bit() * 1e-12
                   + ops * cfg.mmac_pj_per_op * 1e-12)
-        if self.tracer is not None:
-            self.tracer.count("pim.kernel_costs")
-            self.tracer.count(f"pim.kernel_costs.{kernel.instruction}")
-            self.tracer.count("pim.activations", total_acts)
-            self.tracer.count("pim.internal_bytes", internal_bytes)
-        if self.metrics is not None:
-            self._m_instructions.inc(instruction=kernel.instruction)
-            self._m_activations.inc(total_acts)
-            self._m_internal.inc(internal_bytes)
         return self.apply_fault(
             PimCost(time=time, energy=energy, activations=total_acts,
                     chunk_accesses=total_chunks,
                     internal_bytes=internal_bytes), fault)
 
-    def verify_cost(self, kernel: PimKernel) -> float:
-        """Modeled residue-checksum verification time for one kernel.
+    def account(self, instruction: str, cost: PimCost) -> None:
+        """Count one dispatched kernel's nominal ``cost`` in the attached
+        tracer/metrics.
 
-        The checksum lanes reduce each output chunk as it streams out of
-        the MMAC array, so verification costs a small fixed fraction of
-        the kernel's own streaming time (no extra row activations)."""
-        return self.cost(kernel).time * 0.02
+        Kept apart from :meth:`cost` so a caller that prices each
+        distinct kernel shape once still counts every kernel it runs.
+        """
+        if self.tracer is not None:
+            self.tracer.count("pim.kernel_costs")
+            self.tracer.count(f"pim.kernel_costs.{instruction}")
+            self.tracer.count("pim.activations", cost.activations)
+            self.tracer.count("pim.internal_bytes", cost.internal_bytes)
+        if self.metrics is not None:
+            self._m_instructions.inc(instruction=instruction)
+            self._m_activations.inc(cost.activations)
+            self._m_internal.inc(cost.internal_bytes)
 
     def trace_cost(self, kernels) -> PimCost:
         total = ZERO_COST
