@@ -30,10 +30,9 @@ from repro.core.trace import OpCategory, PimKernel
 from repro.errors import ParameterError, ReproError
 from repro.gpu.configs import A100_80GB, LIBRARIES, RTX_4090
 from repro.obs.baseline import (append_history, baseline_metrics,
-                                baseline_path, check_baseline,
-                                check_baseline_metrics, load_baseline,
-                                load_history, render_history,
-                                write_baseline, write_baseline_metrics)
+                                baseline_path, check_baseline_metrics,
+                                load_baseline, load_history,
+                                render_history, write_baseline_metrics)
 from repro.obs.export import (chrome_trace_from_report,
                               chrome_trace_from_tracer, merge_traces,
                               report_dict, run_manifest, write_json)
@@ -50,18 +49,18 @@ from repro.workloads.linear_transform_trace import hoisted_block
 from repro.workloads.metrics import edp_improvement
 
 GPUS = {"a100": A100_80GB, "rtx4090": RTX_4090}
-
-
-def _pim_for(gpu_name: str, pim_name: str):
-    table = {
-        ("a100", "near-bank"): A100_NEAR_BANK,
+PIMS = {("a100", "near-bank"): A100_NEAR_BANK,
         ("a100", "custom-hbm"): A100_CUSTOM_HBM,
-        ("rtx4090", "near-bank"): RTX4090_NEAR_BANK,
-    }
-    key = (gpu_name, pim_name)
-    if key not in table:
-        raise SystemExit(f"no PIM config for gpu={gpu_name} pim={pim_name}")
-    return table[key]
+        ("rtx4090", "near-bank"): RTX4090_NEAR_BANK}
+
+
+def _target(args):
+    """(gpu, pim-or-None) named by the --gpu/--pim flags."""
+    if args.pim == "none":
+        return GPUS[args.gpu], None
+    if (args.gpu, args.pim) not in PIMS:
+        raise SystemExit(f"no PIM config for gpu={args.gpu} pim={args.pim}")
+    return GPUS[args.gpu], PIMS[args.gpu, args.pim]
 
 
 # -- Observability plumbing shared by the subcommands --------------------------
@@ -131,24 +130,19 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    gpu = GPUS[args.gpu]
-    params = paper_params()
-    workload = apps.build(args.workload, params)
-    if not _check_memory(workload, gpu):
-        return 1
-    library = LIBRARIES[args.library]
-    keep = args.trace_out is not None
     fault_plan = None
     if args.fault_seed is not None:
         from repro.faults.plan import default_plan
         fault_plan = default_plan(seed=args.fault_seed,
                                   scale=args.fault_scale)
     metrics = MetricsRegistry()
-    if args.pim == "none":
-        framework = AnaheimFramework(gpu, library=library,
-                                     keep_segments=keep,
-                                     fault_plan=fault_plan,
-                                     metrics=metrics)
+    built = _framework(args, keep_segments=args.trace_out is not None,
+                       fault_plan=fault_plan, metrics=metrics)
+    if built is None:
+        return 1
+    framework, pim, workload, params = built
+    gpu, library = framework.gpu, LIBRARIES[args.library]
+    if pim is None:
         result = framework.run(workload.blocks, params.degree,
                                label=args.workload)
         report = result.report
@@ -171,11 +165,6 @@ def cmd_run(args) -> int:
         if args.breakdown:
             print(render_breakdown({args.workload: report}))
         return 0
-    pim = _pim_for(args.gpu, args.pim)
-    framework = AnaheimFramework(gpu, pim, library=library,
-                                 keep_segments=keep,
-                                 fault_plan=fault_plan,
-                                 metrics=metrics)
     runs = framework.compare(workload.blocks, params.degree,
                              label=args.workload)
     base, anaheim = runs["gpu"].report, runs["pim"].report
@@ -289,19 +278,16 @@ def cmd_microbench(args) -> int:
     return 0
 
 
-def _bench_framework(args):
-    """(framework, pim-or-None, workload) for bench/profile runs."""
-    gpu = GPUS[args.gpu]
+def _framework(args, **options):
+    """(framework, pim-or-None, workload, params) for one --workload on
+    the flagged target; None when the workload overflows GPU memory."""
     params = paper_params()
     workload = apps.build(args.workload, params)
-    if not _check_memory(workload, gpu):
+    if not _check_memory(workload, GPUS[args.gpu]):
         return None
-    library = LIBRARIES[args.library]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    framework = AnaheimFramework(
-        gpu, pim, library=library,
-        keep_segments=getattr(args, "trace_out", None) is not None,
-        tracer=getattr(args, "_tracer", None))
+    gpu, pim = _target(args)
+    framework = AnaheimFramework(gpu, pim, library=LIBRARIES[args.library],
+                                 **options)
     return framework, pim, workload, params
 
 
@@ -311,40 +297,57 @@ def _run_functional(args, tracer=None) -> dict:
                                 tracer=tracer)
 
 
-def _bench_functional(args) -> int:
-    """Wall-clock bench of the executable CKKS layer (no modeled run)."""
-    tracer = Tracer()
-    result = _run_functional(args, tracer=tracer)
-    metrics = result["metrics"]
+def _gate_baseline(args, name, metrics, config, extra=None, summary=None,
+                   check_summary=None, rerun=None) -> int:
+    """Gate one bench result against ``BENCH_<name>.json`` and record it.
+
+    With ``--check`` the metrics are compared with the stored baseline
+    (exit 0 clean, 1 on regression, 2 with no baseline); otherwise the
+    baseline is (re)written.  Either way the run is appended to
+    ``history/<name>.jsonl``, a check run tagged ``pass``/``fail``.
+    ``summary`` follows the written-baseline line, ``check_summary`` the
+    clean-check line, and ``rerun`` is the command that writes the
+    missing baseline.
+    """
+    path = baseline_path(args.dir, name)
     if args.check:
-        path = baseline_path(args.dir, "functional")
         if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload functional` first")
+            print(f"no baseline at {path}; run `anaheim-repro "
+                  f"{rerun or 'bench --workload ' + name}` first")
             return 2
-        baseline = load_baseline(args.dir, "functional")
-        regressions = check_baseline_metrics(baseline, metrics,
+        regressions = check_baseline_metrics(load_baseline(args.dir, name),
+                                             metrics,
                                              tolerance=args.tolerance)
+        append_history(args.dir, name, metrics, config=config,
+                       check="fail" if regressions else "pass")
         if regressions:
-            print(f"functional: {len(regressions)} metric(s) outside "
+            print(f"{name}: {len(regressions)} metric(s) outside "
                   f"±{args.tolerance:.0%} of {path}:")
             for regression in regressions:
                 print(f"  {regression.describe()}")
             return 1
-        print(f"functional: all metrics within ±{args.tolerance:.0%} "
-              f"of {path}")
+        note = f" ({check_summary})" if check_summary else ""
+        print(f"{name}: all metrics within ±{args.tolerance:.0%} of "
+              f"{path}{note}")
         return 0
-    path = write_baseline_metrics(
-        args.dir, "functional", metrics, config=result["config"],
-        extra={"counters": result["counters"],
-               "precision_max_err": result["precision_max_err"]})
-    append_history(args.dir, "functional", metrics,
-                   config=result["config"])
-    print(f"wrote baseline {path} "
-          f"(bootstrap {format_seconds(metrics['bootstrap_s'])}, "
-          f"key switch {format_seconds(metrics['key_switch_s'])}, "
-          f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x)")
+    write_baseline_metrics(args.dir, name, metrics, config=config,
+                           extra=extra)
+    append_history(args.dir, name, metrics, config=config)
+    print(f"wrote baseline {path}" + (f" ({summary})" if summary else ""))
     return 0
+
+
+def _bench_functional(args) -> int:
+    """Wall-clock bench of the executable CKKS layer (no modeled run)."""
+    result = _run_functional(args, tracer=Tracer())
+    metrics = result["metrics"]
+    return _gate_baseline(
+        args, "functional", metrics, result["config"],
+        extra={"counters": result["counters"],
+               "precision_max_err": result["precision_max_err"]},
+        summary=f"bootstrap {format_seconds(metrics['bootstrap_s'])}, "
+                f"key switch {format_seconds(metrics['key_switch_s'])}, "
+                f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x")
 
 
 def _bench_parallel(args) -> int:
@@ -401,73 +404,93 @@ def _bench_parallel(args) -> int:
                f"documents {'identical' if digest_match else 'DIFFER'}; "
                f"wall {wall_serial_s:.2f}s -> {wall_parallel_s:.2f}s "
                f"(informational)")
-    if args.check:
-        path = baseline_path(args.dir, "parallel")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload parallel` first")
-            return 2
-        baseline = load_baseline(args.dir, "parallel")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"parallel: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"parallel: all metrics within ±{args.tolerance:.0%} of "
-              f"{path}")
-        print(summary)
-        return 0 if digest_match else 1
-    if not digest_match:
+    # Never pin a baseline from a run that broke byte-identity or that
+    # the pool did not speed up.
+    if not args.check and not digest_match:
         print(f"parallel: FAIL — {summary}")
         return 1
-    if timeline["speedup"] < 2.0:
+    if not args.check and timeline["speedup"] < 2.0:
         print(f"parallel: FAIL — modeled speedup "
               f"{timeline['speedup']:.2f}x < 2x; {summary}")
         return 1
-    path = write_baseline_metrics(args.dir, "parallel", metrics,
-                                  config=config, extra=extra)
-    append_history(args.dir, "parallel", metrics, config=config)
-    print(f"wrote baseline {path}")
+    code = _gate_baseline(args, "parallel", metrics, config, extra=extra)
+    if code:
+        return code
     print(summary)
-    return 0
+    return 0 if digest_match else 1
 
 
-def _bench_history(args) -> int:
-    """Render the recorded run-to-run trend for one workload."""
-    entries = load_history(args.dir, args.workload)
-    baseline = (load_baseline(args.dir, args.workload)
-                if baseline_path(args.dir, args.workload).exists()
-                else None)
-    if args.workload == "functional":
-        trend_metrics = ("bootstrap_s", "key_switch_s", "ntt_batch_speedup")
-    elif args.workload == "parallel":
-        trend_metrics = ("throughput_speedup", "serial_s", "makespan_s")
-    elif args.workload == "ras":
-        trend_metrics = ("corrected", "uncorrected", "overhead")
-    elif args.workload == "overload":
-        trend_metrics = ("goodput_qps", "shed_rate", "reject_rate")
-    else:
-        trend_metrics = ("total_time", "energy", "edp")
-    print(f"bench history: {args.workload} ({len(entries)} run(s))")
-    print(render_history(entries, baseline, metrics=trend_metrics))
-    return 0
+def _bench_overload(args) -> int:
+    """Overload-protection bench: the pinned 2x-capacity chaos cell.
+
+    Entirely on the simulated clock, so the goodput/shed-rate numbers
+    are a pure function of the seed and reproduce exactly under
+    ``bench --check`` on any host.
+    """
+    from repro.serving.soak import (overload_bench_cell,
+                                    overload_bench_metrics)
+    gpu, pim = _target(args)
+    cell = overload_bench_cell(gpu=gpu, pim=pim,
+                               library=LIBRARIES[args.library])
+    if not cell["passed"]:
+        for violation in cell["violations"]:
+            print(f"overload: invariant violation: {violation}")
+        return 1
+    metrics = overload_bench_metrics(cell)
+    summary = (f"offered {metrics['offered']:.0f}, goodput "
+               f"{metrics['goodput_qps']:.1f} qps, shed rate "
+               f"{metrics['shed_rate']:.1%}, reject rate "
+               f"{metrics['reject_rate']:.1%}")
+    config = {"load": cell["load"], "chaos": cell["chaos"],
+              "rate_qps": cell["rate_qps"], "gpu": gpu.name,
+              "pim": pim.name if pim else None,
+              "library": args.library}
+    return _gate_baseline(args, "overload", metrics, config,
+                          summary=summary, check_summary=summary)
 
 
-def cmd_bench(args) -> int:
-    if args.history:
-        return _bench_history(args)
-    if args.workload == "functional":
-        return _bench_functional(args)
-    if args.workload == "parallel":
-        return _bench_parallel(args)
-    if args.workload == "overload":
-        return _bench_overload(args)
-    if args.workload == "ras":
-        return _bench_ras(args)
-    built = _bench_framework(args)
+def _ras_matrix(args, base, workers=None, **options) -> dict:
+    """One RAS-matrix run under the --workers/--threads flags: the run
+    behind ``bench --workload ras``, ``ras`` and ``ras --smoke``."""
+    from repro.faults.ras_campaign import run_ras_matrix
+    from repro.parallel import set_threads
+    set_threads(args.threads)
+    return run_ras_matrix(
+        base=base, workers=args.workers if workers is None else workers,
+        threads=args.threads, **options)
+
+
+def _bench_ras(args) -> int:
+    """Memory-RAS bench: the pinned default-cell reliability numbers.
+
+    Wall clocks are off, so every metric is a pure function of the
+    seed and reproduces exactly under ``bench --check`` on any host.
+    """
+    from repro.dram.reliability import ReliabilityConfig
+    from repro.faults.ras_campaign import ras_baseline_metrics
+    gpu, pim = _target(args)
+    base = ReliabilityConfig()
+    result = _ras_matrix(args, base, functional=True, record_wall=False,
+                         gpu=gpu, pim=pim)
+    if not result["gate"]["passed"]:
+        for violation in result["gate"]["violations"]:
+            print(f"ras: gate violation: {violation}")
+        return 1
+    metrics = ras_baseline_metrics(result)
+    summary = (f"{metrics['errors_total']:.0f} errors, "
+               f"{metrics['corrected']:.0f} corrected, "
+               f"{metrics['uncorrected']:.0f} uncorrected, overhead "
+               f"{metrics['overhead']:.2%}")
+    config = {"config_digest": base.digest(), "gpu": gpu.name,
+              "pim": pim.name if pim else None,
+              "workload": result["workload"]}
+    return _gate_baseline(args, "ras", metrics, config, summary=summary,
+                          check_summary=summary)
+
+
+def _bench_analytic(args) -> int:
+    """Modeled time/energy/EDP of one paper application."""
+    built = _framework(args)
     if built is None:
         return 1
     framework, pim, workload, params = built
@@ -476,31 +499,44 @@ def cmd_bench(args) -> int:
     config = {"gpu": framework.gpu.name,
               "pim": pim.name if pim else None,
               "library": args.library}
-    if args.check:
-        path = baseline_path(args.dir, args.workload)
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload {args.workload}` first")
-            return 2
-        baseline = load_baseline(args.dir, args.workload)
-        regressions = check_baseline(baseline, report,
-                                     tolerance=args.tolerance)
-        if regressions:
-            print(f"{args.workload}: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"{args.workload}: all metrics within ±{args.tolerance:.0%} "
-              f"of {path}")
-        return 0
-    path = write_baseline(args.dir, args.workload, report, config=config)
-    append_history(args.dir, args.workload, baseline_metrics(report),
-                   config=config)
-    print(f"wrote baseline {path} "
-          f"(total {format_seconds(report.total_time)}, "
-          f"{report.energy:.2f}J)")
+    summary = (f"total {format_seconds(report.total_time)}, "
+               f"{report.energy:.2f}J")
+    return _gate_baseline(args, args.workload, baseline_metrics(report),
+                          config, summary=summary)
+
+
+#: ``bench`` workloads beyond the paper applications, which all run
+#: through :func:`_bench_analytic`.
+_BENCH_RUNNERS = {"functional": _bench_functional,
+                  "parallel": _bench_parallel,
+                  "overload": _bench_overload, "ras": _bench_ras}
+
+#: Trend columns ``bench --history`` shows per workload; the paper
+#: applications show total time, energy and EDP.
+_TRENDS = {"functional": ("bootstrap_s", "key_switch_s",
+                          "ntt_batch_speedup"),
+           "parallel": ("throughput_speedup", "serial_s", "makespan_s"),
+           "ras": ("corrected", "uncorrected", "overhead"),
+           "overload": ("goodput_qps", "shed_rate", "reject_rate"),
+           "faults": ("coverage", "unrecovered", "mean_overhead")}
+
+
+def _bench_history(args) -> int:
+    """Render the recorded run-to-run trend for one workload."""
+    entries = load_history(args.dir, args.workload)
+    baseline = (load_baseline(args.dir, args.workload)
+                if baseline_path(args.dir, args.workload).exists()
+                else None)
+    print(f"bench history: {args.workload} ({len(entries)} run(s))")
+    print(render_history(entries, baseline, metrics=_TRENDS.get(
+        args.workload, ("total_time", "energy", "edp"))))
     return 0
+
+
+def cmd_bench(args) -> int:
+    if args.history:
+        return _bench_history(args)
+    return _BENCH_RUNNERS.get(args.workload, _bench_analytic)(args)
 
 
 def _faults_baseline_metrics(result: dict) -> dict:
@@ -526,7 +562,7 @@ def cmd_faults(args) -> int:
     from repro.parallel import set_threads
 
     set_threads(args.threads)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _parse_list(args.seeds, "--seeds", _parse_int)
     stuck = tuple(args.stuck_site or ())
     result = run_matrix(
         seeds=seeds, scale=args.scale, workload=args.workload,
@@ -537,34 +573,15 @@ def cmd_faults(args) -> int:
         workers=args.workers, threads=args.threads)
     gate_ok = result["gate"]["passed"]
 
-    if args.manifest:
-        _write_artifact(args.manifest, result, "manifest",
-                        quiet=args.json)
-    if args.check:
-        path = baseline_path(args.dir, "faults")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro faults "
-                  f"--write-baseline` first")
-            return 2
-        baseline = load_baseline(args.dir, "faults")
-        regressions = check_baseline_metrics(
-            baseline, _faults_baseline_metrics(result),
-            tolerance=args.tolerance)
-        if regressions:
-            print(f"faults: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"faults: all metrics within ±{args.tolerance:.0%} of {path}")
-        return 0 if gate_ok else 1
-    if args.write_baseline:
-        path = write_baseline_metrics(
-            args.dir, "faults", _faults_baseline_metrics(result),
-            config={"seeds": list(seeds), "scale": args.scale,
-                    "workload": args.workload,
-                    "stuck_sites": list(stuck)})
-        print(f"wrote baseline {path}")
+    _emit_artifacts(args, manifest=result)
+    if args.check or args.write_baseline:
+        code = _gate_baseline(
+            args, "faults", _faults_baseline_metrics(result),
+            {"seeds": list(seeds), "scale": args.scale,
+             "workload": args.workload, "stuck_sites": list(stuck)},
+            rerun="faults --write-baseline")
+        if args.check:
+            return code or (0 if gate_ok else 1)
     if args.json:
         print(json.dumps(result, indent=2, default=str))
         return 0 if gate_ok else 1
@@ -598,6 +615,28 @@ def _ras_base(args):
     return ReliabilityConfig(seed=args.seed)
 
 
+def _pool_mismatches(serial_doc, pool_doc, serial_metrics, pool_metrics,
+                     workers: int) -> list:
+    """Failures of the serial-vs-pool identity a pooled smoke asserts."""
+    failures = []
+    if json.dumps(serial_doc, sort_keys=True) \
+            != json.dumps(pool_doc, sort_keys=True):
+        failures.append(f"document differs between --workers 1 and "
+                        f"--workers {workers}")
+    if serial_metrics.digest() != pool_metrics.digest():
+        failures.append(f"metrics digest differs between --workers 1 "
+                        f"and --workers {workers}")
+    return failures
+
+
+def _smoke_failed(name: str, failures) -> int:
+    """Print a smoke's failures and its FAIL verdict; the exit code."""
+    for failure in failures:
+        print(f"{name} smoke: {failure}")
+    print(f"{name} smoke: FAIL")
+    return 1
+
+
 def _ras_smoke(args) -> int:
     """Gating end-to-end memory-RAS check (``ras --smoke``).
 
@@ -607,16 +646,13 @@ def _ras_smoke(args) -> int:
     uncorrected errors in the default cell; that the scrubber and ECC
     actually engaged; and that scrub overhead stayed under the bound.
     """
-    from repro.faults.ras_campaign import run_ras_matrix
-
     base = _ras_base(args)
     workers = args.workers if args.workers > 1 else 4
 
     def one_run(n_workers, registry):
-        return run_ras_matrix(base=base, workload=args.workload,
-                              functional=True, record_wall=False,
-                              metrics=registry, workers=n_workers,
-                              threads=args.threads)
+        return _ras_matrix(args, base, workers=n_workers,
+                           workload=args.workload, functional=True,
+                           record_wall=False, metrics=registry)
 
     serial_metrics = MetricsRegistry()
     pool_metrics = MetricsRegistry()
@@ -624,14 +660,8 @@ def _ras_smoke(args) -> int:
     pool_doc = one_run(workers, pool_metrics)
     cell = serial_doc["default_cell"]
     ras = cell["ras"]
-    failures = []
-    if json.dumps(serial_doc, sort_keys=True) \
-            != json.dumps(pool_doc, sort_keys=True):
-        failures.append(f"document differs between --workers 1 and "
-                        f"--workers {workers}")
-    if serial_metrics.digest() != pool_metrics.digest():
-        failures.append(f"metrics digest differs between --workers 1 "
-                        f"and --workers {workers}")
+    failures = _pool_mismatches(serial_doc, pool_doc, serial_metrics,
+                                pool_metrics, workers)
     if not serial_doc["gate"]["passed"]:
         for violation in serial_doc["gate"]["violations"]:
             failures.append(f"gate violation: {violation}")
@@ -647,10 +677,7 @@ def _ras_smoke(args) -> int:
         failures.append(f"scrub overhead {cell['overhead']:.4f} over "
                         f"bound {serial_doc['gate']['overhead_bound']}")
     if failures:
-        for failure in failures:
-            print(f"ras smoke: {failure}")
-        print("ras smoke: FAIL")
-        return 1
+        return _smoke_failed("ras", failures)
     print(f"ras smoke: PASS ({ras['errors_total']} errors: "
           f"{ras['corrected']} corrected, {ras['detected']} detected, "
           f"{ras['escaped']} escaped, 0 uncorrected; "
@@ -662,28 +689,22 @@ def _ras_smoke(args) -> int:
 
 
 def cmd_ras(args) -> int:
-    from repro.faults.ras_campaign import (ras_baseline_metrics,
-                                           run_ras_matrix)
-    from repro.parallel import set_threads
+    from repro.faults.ras_campaign import ras_baseline_metrics
 
     if args.smoke:
         return _ras_smoke(args)
-    set_threads(args.threads)
-    rates = _parse_positive_floats(args.retention_rates,
-                                   "--retention-rates")
-    intervals = _parse_positive_floats(args.scrub_intervals,
-                                       "--scrub-intervals")
+    rates = _parse_list(args.retention_rates, "--retention-rates",
+                        _parse_positive_float)
+    intervals = _parse_list(args.scrub_intervals, "--scrub-intervals",
+                            _parse_positive_float)
     base = _ras_base(args)
-    result = run_ras_matrix(
-        retention_rates=rates, scrub_intervals=intervals, base=base,
+    result = _ras_matrix(
+        args, base, retention_rates=rates, scrub_intervals=intervals,
         workload=args.workload, functional=args.layer == "both",
-        record_wall=not args.no_wall, workers=args.workers,
-        threads=args.threads)
+        record_wall=not args.no_wall)
     gate_ok = result["gate"]["passed"]
 
-    if args.manifest:
-        _write_artifact(args.manifest, result, "manifest",
-                        quiet=args.json)
+    _emit_artifacts(args, manifest=result)
     if args.check or args.write_baseline:
         if base.retention_rate not in rates \
                 or base.scrub_interval_s not in intervals:
@@ -691,35 +712,15 @@ def cmd_ras(args) -> int:
                   "the sweep must include the default retention rate "
                   "and scrub interval", file=sys.stderr)
             return 1
-        metrics = ras_baseline_metrics(result)
-    if args.check:
-        path = baseline_path(args.dir, "ras")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro ras "
-                  f"--write-baseline` first")
-            return 2
-        baseline = load_baseline(args.dir, "ras")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"ras: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"ras: all metrics within ±{args.tolerance:.0%} of {path}")
-        return 0 if gate_ok else 1
-    if args.write_baseline:
-        path = write_baseline_metrics(
-            args.dir, "ras", metrics,
-            config={"seed": args.seed, "workload": args.workload,
-                    "retention_rates": list(rates),
-                    "scrub_intervals": list(intervals),
-                    "config_digest": base.digest()})
-        append_history(args.dir, "ras", metrics,
-                       config={"seed": args.seed,
-                               "workload": args.workload})
-        print(f"wrote baseline {path}")
+        code = _gate_baseline(
+            args, "ras", ras_baseline_metrics(result),
+            {"seed": args.seed, "workload": args.workload,
+             "retention_rates": list(rates),
+             "scrub_intervals": list(intervals),
+             "config_digest": base.digest()},
+            rerun="ras --write-baseline")
+        if args.check:
+            return code or (0 if gate_ok else 1)
     if args.json:
         print(json.dumps(result, indent=2, default=str))
         return 0 if gate_ok else 1
@@ -772,13 +773,21 @@ def _parse_positive_float(text, name: str) -> float:
     return value
 
 
-def _parse_positive_floats(text, name: str) -> tuple:
-    """A comma-separated list of strictly positive floats."""
+def _parse_int(text, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{name} must list integers, got {text!r}")
+
+
+def _parse_list(text, name: str, parse) -> tuple:
+    """A comma-separated CLI list, each token through ``parse(token,
+    name)``; a bad token is a :class:`ParameterError`, not a traceback."""
     tokens = [token.strip() for token in text.split(",") if token.strip()]
     if not tokens:
         raise ParameterError(f"{name} must list at least one value, "
                              f"got {text!r}")
-    return tuple(_parse_positive_float(token, name) for token in tokens)
+    return tuple(parse(token, name) for token in tokens)
 
 
 def _serve_policy(args):
@@ -791,7 +800,7 @@ def _serve_policy(args):
         checkpoint_every=args.checkpoint_every,
         degraded_after=args.degraded_after,
         gpu_only_after=args.gpu_only_after,
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=_parse_list(args.seeds, "--seeds", _parse_int),
         fault_seed=args.fault_seed,
         fault_scale=args.scale,
         stuck_sites=tuple(args.stuck_site or ()),
@@ -833,8 +842,7 @@ def _run_overload(args, workers=None, metrics=None, worker_metrics=None,
     from repro.serving import run_overload_serve
     set_threads(args.threads)
     spec, tenants, chaos = _overload_traffic(args)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
+    gpu, pim = _target(args)
     return run_overload_serve(
         spec, tenants, _admission_policy(args), _serve_policy(args),
         gpu=gpu, pim=pim, library=LIBRARIES[args.library], chaos=chaos,
@@ -880,9 +888,7 @@ def _serve_overload(args) -> int:
     document, runner = _run_overload(args, metrics=metrics,
                                      worker_metrics=worker_metrics)
     summary = document["admission"]["summary"]
-    if args.manifest:
-        _write_artifact(args.manifest, document, "manifest",
-                        quiet=args.json)
+    _emit_artifacts(args, manifest=document)
     if args.json:
         print(json.dumps(document, indent=2))
     else:
@@ -923,14 +929,8 @@ def _overload_smoke(args) -> int:
                                 metrics=pool_metrics,
                                 worker_metrics=MetricsRegistry())
     summary = serial_doc["admission"]["summary"]
-    failures = []
-    if json.dumps(serial_doc, sort_keys=True) \
-            != json.dumps(pool_doc, sort_keys=True):
-        failures.append(f"document differs between --workers 1 and "
-                        f"--workers {workers}")
-    if serial_metrics.digest() != pool_metrics.digest():
-        failures.append(f"metrics digest differs between --workers 1 "
-                        f"and --workers {workers}")
+    failures = _pool_mismatches(serial_doc, pool_doc, serial_metrics,
+                                pool_metrics, workers)
     if summary["rejected_total"] + summary["shed_total"] == 0:
         failures.append("overload never engaged (nothing rejected or "
                         "shed); raise --arrivals rate")
@@ -945,10 +945,7 @@ def _overload_smoke(args) -> int:
                         f"the simulation dispatched "
                         f"{summary['completed']}")
     if failures:
-        for failure in failures:
-            print(f"overload smoke: {failure}")
-        print("overload smoke: FAIL")
-        return 1
+        return _smoke_failed("overload", failures)
     print(f"overload smoke: PASS (offered {summary['offered']}, "
           f"admitted {summary['admitted']}, rejected "
           f"{summary['rejected_total']}, shed {summary['shed_total']}, "
@@ -962,9 +959,8 @@ def cmd_soak(args) -> int:
     """Chaos soak campaign: overload x chaos grid on the sim clock."""
     from repro.serving import parse_tenants
     from repro.serving.soak import run_soak
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    loads = tuple(float(token) for token in args.loads.split(","))
+    gpu, pim = _target(args)
+    loads = _parse_list(args.loads, "--loads", _parse_positive_float)
     chaos_kinds = tuple(args.chaos.split(","))
     for kind in chaos_kinds:
         if kind not in ("none", "faults"):
@@ -980,9 +976,7 @@ def cmd_soak(args) -> int:
         fault_seed=args.fault_seed if args.fault_seed is not None else 0,
         fault_scale=args.scale)
     gate = document["gate"]
-    if args.manifest:
-        _write_artifact(args.manifest, document, "manifest",
-                        quiet=args.json)
+    _emit_artifacts(args, manifest=document)
     if args.json:
         print(json.dumps(document, indent=2))
         return 0 if gate["passed"] else 1
@@ -1009,119 +1003,13 @@ def cmd_soak(args) -> int:
     return 0 if gate["passed"] else 1
 
 
-def _bench_overload(args) -> int:
-    """Overload-protection bench: the pinned 2x-capacity chaos cell.
-
-    Entirely on the simulated clock, so the goodput/shed-rate numbers
-    are a pure function of the seed and reproduce exactly under
-    ``bench --check`` on any host.
-    """
-    from repro.serving.soak import (overload_bench_cell,
-                                    overload_bench_metrics)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    cell = overload_bench_cell(gpu=gpu, pim=pim,
-                               library=LIBRARIES[args.library])
-    if not cell["passed"]:
-        for violation in cell["violations"]:
-            print(f"overload: invariant violation: {violation}")
-        return 1
-    metrics = overload_bench_metrics(cell)
-    summary = (f"offered {metrics['offered']:.0f}, goodput "
-               f"{metrics['goodput_qps']:.1f} qps, shed rate "
-               f"{metrics['shed_rate']:.1%}, reject rate "
-               f"{metrics['reject_rate']:.1%}")
-    config = {"load": cell["load"], "chaos": cell["chaos"],
-              "rate_qps": cell["rate_qps"], "gpu": gpu.name,
-              "pim": pim.name if pim else None,
-              "library": args.library}
-    if args.check:
-        path = baseline_path(args.dir, "overload")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload overload` first")
-            return 2
-        baseline = load_baseline(args.dir, "overload")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"overload: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"overload: all metrics within ±{args.tolerance:.0%} of "
-              f"{path} ({summary})")
-        return 0
-    path = write_baseline_metrics(args.dir, "overload", metrics,
-                                  config=config)
-    append_history(args.dir, "overload", metrics, config=config)
-    print(f"wrote baseline {path} ({summary})")
-    return 0
-
-
-def _bench_ras(args) -> int:
-    """Memory-RAS bench: the pinned default-cell reliability numbers.
-
-    Wall clocks are off, so every metric is a pure function of the
-    seed and reproduces exactly under ``bench --check`` on any host.
-    """
-    from repro.dram.reliability import ReliabilityConfig
-    from repro.faults.ras_campaign import (ras_baseline_metrics,
-                                           run_ras_matrix)
-    from repro.parallel import set_threads
-    set_threads(args.threads)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    base = ReliabilityConfig()
-    result = run_ras_matrix(base=base, functional=True,
-                            record_wall=False, gpu=gpu, pim=pim,
-                            workers=args.workers, threads=args.threads)
-    if not result["gate"]["passed"]:
-        for violation in result["gate"]["violations"]:
-            print(f"ras: gate violation: {violation}")
-        return 1
-    metrics = ras_baseline_metrics(result)
-    summary = (f"{metrics['errors_total']:.0f} errors, "
-               f"{metrics['corrected']:.0f} corrected, "
-               f"{metrics['uncorrected']:.0f} uncorrected, overhead "
-               f"{metrics['overhead']:.2%}")
-    config = {"config_digest": base.digest(), "gpu": gpu.name,
-              "pim": pim.name if pim else None,
-              "workload": result["workload"]}
-    if args.check:
-        path = baseline_path(args.dir, "ras")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload ras` first")
-            return 2
-        baseline = load_baseline(args.dir, "ras")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"ras: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"ras: all metrics within ±{args.tolerance:.0%} of "
-              f"{path} ({summary})")
-        return 0
-    path = write_baseline_metrics(args.dir, "ras", metrics,
-                                  config=config)
-    append_history(args.dir, "ras", metrics, config=config)
-    print(f"wrote baseline {path} ({summary})")
-    return 0
-
-
 def _serve_runner(args, jobs, policy, checkpoint=None, resume=None,
                   max_units=None, metrics=None, worker_metrics=None,
                   on_unit=None):
     from repro.parallel import set_threads
     from repro.serving import JobRunner
     set_threads(args.threads)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
+    gpu, pim = _target(args)
     return JobRunner(jobs, policy, gpu=gpu, pim=pim,
                      library=LIBRARIES[args.library],
                      checkpoint_path=checkpoint, resume_path=resume,
@@ -1164,9 +1052,8 @@ def _serve_smoke(args) -> int:
         killed = _serve_runner(args, jobs, policy, checkpoint=ckpt,
                                max_units=1).run()
         if not killed["interrupted"]:
-            print("serve smoke: FAIL (kill at --max-units 1 did not "
-                  "interrupt the campaign)")
-            return 1
+            return _smoke_failed("serve", [
+                "kill at --max-units 1 did not interrupt the campaign"])
         runner = _serve_runner(args, jobs, policy, checkpoint=ckpt,
                                resume=ckpt)
         resumed = runner.run()
@@ -1174,22 +1061,19 @@ def _serve_smoke(args) -> int:
     clean_text = json.dumps(clean, indent=2)
     resumed_text = json.dumps(resumed, indent=2)
     if clean_text != resumed_text:
-        print("serve smoke: FAIL (resumed document differs from the "
-              "uninterrupted run)")
-        return 1
+        return _smoke_failed("serve", [
+            "resumed document differs from the uninterrupted run"])
     if runner.resumed_units == 0:
-        print("serve smoke: FAIL (resume replayed every unit; the "
-              "checkpoint was not used)")
-        return 1
+        return _smoke_failed("serve", [
+            "resume replayed every unit; the checkpoint was not used"])
     states = [unit["result"]["summary"]["degradation"]["state"]
               for unit in clean["jobs"][0]["units"].values()
               if unit.get("status") == "ok"]
     if "gpu-only" not in states:
-        print(f"serve smoke: FAIL (expected GPU_ONLY degradation under "
-              f"stuck sites {list(policy.stuck_sites)}; got {states})")
-        return 1
-    if args.manifest:
-        _write_artifact(args.manifest, clean, "manifest", quiet=args.json)
+        return _smoke_failed("serve", [
+            f"expected GPU_ONLY degradation under stuck sites "
+            f"{list(policy.stuck_sites)}; got {states}"])
+    _emit_artifacts(args, manifest=clean)
     n = len(clean["jobs"][0]["units"])
     pool = f"; {args.workers} workers" if args.workers > 1 else ""
     print(f"serve smoke: PASS ({n} units; resumed {runner.resumed_units} "
@@ -1215,9 +1099,7 @@ def cmd_serve(args) -> int:
                            checkpoint=args.checkpoint, resume=args.resume,
                            max_units=args.max_units)
     document = runner.run()
-    if args.manifest:
-        _write_artifact(args.manifest, document, "manifest",
-                        quiet=args.json)
+    _emit_artifacts(args, manifest=document)
     if args.json:
         print(json.dumps(document, indent=2))
     else:
@@ -1283,10 +1165,7 @@ def _metrics_smoke(args) -> int:
         failures.append("two identical runs produced different snapshot "
                         "digests")
     if failures:
-        for failure in failures:
-            print(f"metrics smoke: {failure}")
-        print("metrics smoke: FAIL")
-        return 1
+        return _smoke_failed("metrics", failures)
     print(f"metrics smoke: PASS ({len(parsed['samples'])} samples, "
           f"digest {first.digest()[:12]}, accounting error "
           f"{util.accounting_error:.2e})")
@@ -1340,20 +1219,16 @@ def cmd_metrics(args) -> int:
     if args.workload == "functional":
         util_lines = _metrics_functional(args, registry, events)
     else:
-        gpu = GPUS[args.gpu]
-        params = paper_params()
-        workload = apps.build(args.workload, params)
-        if not _check_memory(workload, gpu):
+        built = _framework(args, keep_segments=True, metrics=registry)
+        if built is None:
             return 1
-        library = LIBRARIES[args.library]
-        pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-        framework = AnaheimFramework(gpu, pim, library=library,
-                                     keep_segments=True, metrics=registry)
+        framework, pim, workload, params = built
         report = framework.run(workload.blocks, params.degree,
                                label=args.workload).report
-        util = UtilizationReport.from_report(report, gpu=gpu, pim=pim)
+        util = UtilizationReport.from_report(report, gpu=framework.gpu,
+                                             pim=pim)
         util.record(registry)
-        events.emit("run", workload=args.workload, gpu=gpu.name,
+        events.emit("run", workload=args.workload, gpu=framework.gpu.name,
                     pim=pim.name if pim else None,
                     total_time=report.total_time, energy=report.energy)
         events.emit("utilization", **util.as_dict())
@@ -1522,8 +1397,8 @@ def cmd_profile(args) -> int:
         print()
         print(render_counters(tracer))
         return 0
-    args._tracer = tracer
-    built = _bench_framework(args)
+    built = _framework(args, keep_segments=args.trace_out is not None,
+                       tracer=tracer)
     if built is None:
         return 1
     framework, pim, workload, params = built
@@ -1549,28 +1424,28 @@ def cmd_profile(args) -> int:
 # -- Parser --------------------------------------------------------------------
 
 
-def _add_target_flags(parser, default_pim: str = "near-bank",
-                      extra_workloads=()) -> None:
+def _add_device_flags(parser) -> None:
+    """--gpu/--pim/--library, read back by :func:`_target`."""
+    parser.add_argument("--gpu", default="a100", choices=sorted(GPUS))
+    parser.add_argument("--pim", default="near-bank",
+                        choices=["near-bank", "custom-hbm", "none"])
+    parser.add_argument("--library", default="Cheddar",
+                        choices=sorted(LIBRARIES))
+
+
+def _add_target_flags(parser, extra_workloads=()) -> None:
     # Workload names are validated by apps.build (a clean one-line
     # error), not by argparse choices — the workload table is data, and
     # an unknown name should not dump a usage traceback.
     names = sorted(apps.WORKLOADS) + sorted(extra_workloads)
     parser.add_argument("--workload", required=True,
                         help=f"one of {', '.join(names)}")
-    parser.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    parser.add_argument("--pim", default=default_pim,
-                        choices=["near-bank", "custom-hbm", "none"])
-    parser.add_argument("--library", default="Cheddar",
-                        choices=sorted(LIBRARIES))
+    _add_device_flags(parser)
 
 
 def _add_serve_flags(parser) -> None:
     """Target + ServePolicy flags shared by ``serve`` and ``top``."""
-    parser.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    parser.add_argument("--pim", default="near-bank",
-                        choices=["near-bank", "custom-hbm", "none"])
-    parser.add_argument("--library", default="Cheddar",
-                        choices=sorted(LIBRARIES))
+    _add_device_flags(parser)
     parser.add_argument("--seed", type=int, default=0,
                         help="service seed (drives backoff jitter)")
     parser.add_argument("--max-retries", type=int, default=2,
@@ -1684,8 +1559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="write or check a BENCH_<workload>.json baseline")
-    _add_target_flags(bench, extra_workloads=("functional", "parallel",
-                                              "overload", "ras"))
+    _add_target_flags(bench, extra_workloads=_BENCH_RUNNERS)
     bench.add_argument("--dir", default=".",
                        help="directory holding baseline files")
     bench.add_argument("--workers", type=int, default=4,
@@ -1843,11 +1717,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_p.add_argument("--workload", default="HELR",
                            help=f"one of {', '.join(sorted(apps.WORKLOADS))}"
                                 f", functional (default HELR)")
-    metrics_p.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    metrics_p.add_argument("--pim", default="near-bank",
-                           choices=["near-bank", "custom-hbm", "none"])
-    metrics_p.add_argument("--library", default="Cheddar",
-                           choices=sorted(LIBRARIES))
+    _add_device_flags(metrics_p)
     metrics_p.add_argument("--format", default="prom",
                            choices=["prom", "json", "jsonl"],
                            help="export format (default: Prometheus text)")
@@ -1886,11 +1756,7 @@ def build_parser() -> argparse.ArgumentParser:
         "soak", help="chaos soak: overload x chaos campaign grid on the "
                      "simulated clock, gated on admit/shed conservation "
                      "invariants")
-    soak.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    soak.add_argument("--pim", default="near-bank",
-                      choices=["near-bank", "custom-hbm", "none"])
-    soak.add_argument("--library", default="Cheddar",
-                      choices=sorted(LIBRARIES))
+    _add_device_flags(soak)
     soak.add_argument("--seed", type=int, default=0,
                       help="traffic seed (default 0)")
     soak.add_argument("--duration", type=float, default=2.0,

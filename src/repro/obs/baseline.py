@@ -118,9 +118,10 @@ def check_baseline(baseline: dict, report: ScheduleReport,
 # -- Run history ---------------------------------------------------------------
 #
 # Baselines answer "did this run regress against the pinned reference";
-# the history answers "how has this metric *moved*" — every bench run
-# appends one JSONL line to ``history/<workload>.jsonl`` next to the
-# baseline file, and ``bench --history`` renders the trend.
+# the history answers "how has this metric *moved*" — every bench run,
+# ``--check`` included, appends one JSONL line to
+# ``history/<workload>.jsonl`` next to the baseline file, and
+# ``bench --history`` renders the trend.
 
 
 def history_path(directory, workload: str) -> Path:
@@ -129,8 +130,10 @@ def history_path(directory, workload: str) -> Path:
 
 def append_history(directory, workload: str, metrics: dict,
                    config: dict | None = None,
-                   timestamp: str | None = None) -> Path:
-    """Append one bench run's metrics to the workload's history file."""
+                   timestamp: str | None = None,
+                   check: str | None = None) -> Path:
+    """Append one bench run's metrics to the workload's history file;
+    ``check`` (``"pass"``/``"fail"``) marks a ``--check`` run."""
     path = history_path(directory, workload)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {"workload": workload, "config": config or {},
@@ -138,6 +141,8 @@ def append_history(directory, workload: str, metrics: dict,
              "metrics": metrics}
     if timestamp is not None:
         entry["timestamp"] = timestamp
+    if check is not None:
+        entry["check"] = check
     with open(path, "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return path
@@ -167,20 +172,23 @@ def _format_delta(current, reference):
 def render_history(entries: list, baseline: dict | None = None,
                    metrics=("total_time", "energy", "edp")) -> str:
     """Trend table: each run's metrics with delta vs the previous run,
-    and (when a baseline document is given) delta vs the baseline."""
+    and (when a baseline document is given) delta vs the baseline.
+    The ``check`` column reads ``pass``/``fail`` for ``--check`` runs
+    and ``-`` for baseline writes (and lines recorded before check runs
+    were)."""
     if not entries:
         return "no history recorded"
     base_metrics = (baseline or {}).get("metrics", {})
     lines = []
-    header = ["run", "sha"]
+    header = ["run", "sha", "check"]
     for name in metrics:
         header += [name, "vs prev", "vs base"]
-    widths = None
     rows = []
     previous = None
     for i, entry in enumerate(entries):
         values = entry.get("metrics", {})
-        row = [str(i), (entry.get("git_sha") or "-")[:9]]
+        row = [str(i), (entry.get("git_sha") or "-")[:9],
+               entry.get("check", "-")]
         for name in metrics:
             value = values.get(name)
             row.append("-" if value is None else f"{value:.6g}")
@@ -193,7 +201,7 @@ def render_history(entries: list, baseline: dict | None = None,
               for i in range(len(header))]
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
-        lines.append("  ".join(c.rjust(w) if i > 1 else c.ljust(w)
+        lines.append("  ".join(c.rjust(w) if i > 2 else c.ljust(w)
                                for i, (c, w) in enumerate(zip(row,
                                                               widths))))
     return "\n".join(lines)

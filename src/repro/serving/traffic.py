@@ -28,6 +28,7 @@ interactive traffic, and best-effort ``batch`` campaigns.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -124,6 +125,22 @@ class ArrivalSpec:
     burst_period_s: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        # Every construction path lands here: a rate <= 0 would send
+        # _arrival_times backwards forever, an infinite duration or
+        # burst factor would never let it finish.
+        if not (self.rate_qps > 0 and math.isfinite(self.rate_qps)):
+            raise ParameterError(f"arrival rate must be positive and "
+                                 f"finite, got {self.rate_qps!r} qps")
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+            raise ParameterError(f"arrival duration must be > 0 seconds "
+                                 f"and finite, got {self.duration_s!r}")
+        if not (self.burst_factor >= 1 and math.isfinite(self.burst_factor)
+                and self.burst_period_s > 0):
+            raise ParameterError(
+                f"burst factor must be >= 1 and finite and period > 0, "
+                f"got {self.burst_factor!r} and {self.burst_period_s!r}")
+
     def canonical(self) -> dict:
         return {"process": self.process, "rate_qps": self.rate_qps,
                 "duration_s": self.duration_s,
@@ -149,14 +166,6 @@ def parse_arrival_spec(text: str, duration_s: float,
         raise ParameterError(
             f"arrivals {text!r}: rate/factor/period must be numbers"
         ) from None
-    if len(parts) < 2 or not rate > 0:
-        raise ParameterError(f"arrivals {text!r}: needs a rate > 0 qps")
-    if process == "burst" and (factor < 1.0 or period <= 0):
-        raise ParameterError(
-            f"arrivals {text!r}: burst factor must be >= 1 and period "
-            f"> 0")
-    if duration_s <= 0:
-        raise ParameterError("arrival duration must be > 0 seconds")
     return ArrivalSpec(process=process, rate_qps=rate,
                        duration_s=duration_s, burst_factor=factor,
                        burst_period_s=period, seed=seed)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.scheduler import ScheduleReport
 from repro.obs.baseline import (BASELINE_METRICS, baseline_metrics,
                                 baseline_path, check_baseline, load_baseline,
-                                write_baseline)
+                                render_history, write_baseline)
 
 
 def _report(total=1.0, gpu=0.6, pim=0.3) -> ScheduleReport:
@@ -99,3 +99,19 @@ class TestCheck:
         baseline = load_baseline(tmp_path, "X")
         assert check_baseline(baseline, _report()) == []
         assert check_baseline(baseline, _report(total=1.5)) != []
+
+
+class TestHistoryRender:
+    METRICS = {"total_time": 1.0, "energy": 2.0, "edp": 2.0}
+
+    def test_check_runs_marked_and_old_lines_render(self):
+        entries = [{"git_sha": "abc", "metrics": self.METRICS},
+                   {"git_sha": "abc", "metrics": self.METRICS,
+                    "check": "pass"},
+                   {"git_sha": None, "metrics": {"total_time": 2.0},
+                    "check": "fail"}]
+        lines = render_history(entries).splitlines()
+        assert lines[0].split()[:4] == ["run", "sha", "check", "total_time"]
+        assert [line.split()[:3] for line in lines[1:]] == [
+            ["0", "abc", "-"], ["1", "abc", "pass"], ["2", "-", "fail"]]
+        assert lines[3].split()[4] == "+100.00%"

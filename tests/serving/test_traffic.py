@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.serving.admission import CostModel
+from repro.serving.soak import soak_cell
 from repro.serving.traffic import (DEFAULT_TENANTS, ArrivalSpec,
                                    TenantSpec, capacity_qps,
                                    generate_arrivals, parse_arrival_spec,
@@ -58,6 +59,36 @@ class TestParsing:
         with pytest.raises(ParameterError) as excinfo:
             parse_tenants(text)
         assert "\n" not in str(excinfo.value)
+
+
+class TestSpecValidation:
+    """Specs built directly, not through the parser, are checked too: a
+    rate <= 0 would otherwise send the arrival loop backwards forever.
+    The time limit turns a regression into a failure, not a hang."""
+
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("field,value", [
+        ("rate_qps", -1.0), ("rate_qps", 0.0), ("rate_qps", float("nan")),
+        ("rate_qps", float("inf")), ("duration_s", 0.0),
+        ("duration_s", -2.0), ("duration_s", float("inf")),
+        ("burst_factor", 0.5), ("burst_factor", float("inf")),
+        ("burst_period_s", 0.0), ("burst_period_s", -1.0),
+    ])
+    @pytest.mark.parametrize("process", ["poisson", "burst"])
+    def test_bad_field_is_one_line_error(self, process, field, value):
+        fields = {"process": process, "rate_qps": 10.0, "duration_s": 1.0,
+                  field: value}
+        with pytest.raises(ParameterError) as excinfo:
+            ArrivalSpec(**fields)
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("load", [-1.0, 0.0, float("inf")])
+    def test_soak_cell_rejects_bad_load(self, load):
+        model = CostModel({"Boot": {"pim": 0.027, "gpu": 0.037},
+                           "HELR": {"pim": 0.033, "gpu": 0.041}})
+        with pytest.raises(ParameterError, match="arrival rate"):
+            soak_cell(load, "none", model)
 
 
 class TestGeneration:

@@ -218,6 +218,17 @@ class TestFaultsCommand:
                      "--dir", str(tmp_path), "--check"]) == 2
         assert "no baseline" in capsys.readouterr().out
 
+    def test_write_and_check_append_history(self, tmp_path):
+        argv = ["faults", "--seeds", "0", "--layer", "analytic",
+                "--dir", str(tmp_path)]
+        assert main(argv + ["--write-baseline"]) == 0
+        assert main(argv + ["--check"]) == 0
+        history = tmp_path / "history" / "faults.jsonl"
+        entries = [json.loads(line)
+                   for line in history.read_text().splitlines()]
+        assert [entry.get("check") for entry in entries] == [None, "pass"]
+        assert entries[0]["config"]["seeds"] == [0]
+
     def test_corrupt_baseline_is_one_line_error(self, capsys, tmp_path):
         (tmp_path / "BENCH_faults.json").write_text("{not json")
         assert main(["faults", "--seeds", "0", "--layer", "analytic",
@@ -440,6 +451,30 @@ class TestBenchHistory:
         assert "vs prev" in out and "vs base" in out
         assert "+0.00%" in out
 
+    def test_check_runs_are_recorded_and_marked(self, capsys, tmp_path):
+        argv = ["bench", "--workload", "HELR", "--dir", str(tmp_path)]
+        assert main(argv + ["--check"]) == 2
+        history = tmp_path / "history" / "HELR.jsonl"
+        assert not history.exists()
+        assert main(argv) == 0
+        assert main(argv + ["--check"]) == 0
+        path = tmp_path / "BENCH_HELR.json"
+        doc = json.loads(path.read_text())
+        doc["metrics"]["total_time"] *= 1.10
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--check"]) == 1
+        entries = [json.loads(line)
+                   for line in history.read_text().splitlines()]
+        assert [entry.get("check") for entry in entries] == \
+            [None, "pass", "fail"]
+        capsys.readouterr()
+        assert main(argv + ["--history"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "bench history: HELR (3 run(s))"
+        assert lines[1].split()[:3] == ["run", "sha", "check"]
+        assert [line.split()[2] for line in lines[2:]] == \
+            ["-", "pass", "fail"]
+
     def test_history_without_runs_is_empty(self, capsys, tmp_path):
         assert main(["bench", "--workload", "HELR", "--dir",
                      str(tmp_path), "--history"]) == 0
@@ -499,6 +534,27 @@ class TestRasCommand:
         assert main(["ras", "--no-wall", "--dir", str(tmp_path),
                      "--check"]) == 2
         assert "no baseline" in capsys.readouterr().out
+
+
+class TestListFlagValidation:
+    """Comma-separated list flags fail as one line on stderr, exit 1."""
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("flag,argv", [
+        ("--seeds", ["faults", "--seeds", "0,x", "--layer", "analytic"]),
+        ("--seeds", ["faults", "--seeds", ","]),
+        ("--seeds", ["serve", "--jobs", "run:Boot", "--seeds", "0,x"]),
+        ("--seeds", ["top", "--jobs", "run:Boot", "--seeds", "1.5"]),
+        ("--loads", ["soak", "--loads", "1,abc"]),
+        ("--loads", ["soak", "--loads", "-1"]),
+        ("--loads", ["soak", "--loads", "0"]),
+        ("--loads", ["soak", "--loads", "inf"]),
+    ])
+    def test_bad_list_is_one_line_exit_1(self, capsys, flag, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestRasFlagValidation:
