@@ -77,12 +77,12 @@ def apply_automorphism(poly: RnsPolynomial, galois: int) -> RnsPolynomial:
     test reference for the gather.
     """
     if poly.is_ntt:
-        out = np.take(poly.coeffs, _ntt_gather(poly.degree, galois), axis=1)
+        out = np.take(poly.coeffs, _ntt_gather(poly.degree, galois), axis=-1)
         return RnsPolynomial(out, poly.basis, is_ntt=True)
     dest, flip = _permutation(poly.degree, galois)
     coeffs = poly.coeffs
     q_col = modulus_column(poly.basis)
     values = np.where(flip[None, :] & (coeffs != 0), q_col - coeffs, coeffs)
     out = np.empty_like(coeffs)
-    out[:, dest] = values
+    out[..., dest] = values
     return RnsPolynomial(out, poly.basis, is_ntt=False)

@@ -85,6 +85,14 @@ class Bootstrapper:
     Generates any missing rotation/conjugation keys through the supplied
     :class:`KeyGenerator` at construction time (the static key planning
     the Anaheim framework performs ahead of execution, §V-C).
+
+    CoeffToSlot yields two ciphertexts (real and imaginary coefficient
+    halves) that EvalMod treats identically; :meth:`bootstrap` stacks
+    them into one ciphertext with ``(2, L, N)`` halves and evaluates
+    the sine once, so each multiply, rescale and key switch of the
+    Chebyshev evaluation is one dispatch for both (the paper's §V
+    fusion of independent polynomials, at ciphertext level).  The
+    result is bit-identical to evaluating each half on its own.
     """
 
     def __init__(self, evaluator, keygen: KeyGenerator,
@@ -137,9 +145,10 @@ class Bootstrapper:
             raise LevelError(
                 f"parameter set affords {budget} levels but "
                 f"bootstrapping consumes {self.depth()}")
-        c0, c1 = self._coeff_to_slot(raised)
-        c0 = self._eval_mod(c0, raised.scale)
-        c1 = self._eval_mod(c1, raised.scale)
+        # EvalMod runs the real and imaginary halves in lockstep: one
+        # (2, L, N) batch, so every kernel and key switch serves both.
+        halves = Ciphertext.stack(self._coeff_to_slot(raised))
+        c0, c1 = self._eval_mod(halves, raised.scale).unstack()
         return self._slot_to_coeff(c0, c1)
 
     def _coeff_to_slot(self, ct: Ciphertext):
@@ -152,6 +161,9 @@ class Bootstrapper:
 
     def _eval_mod(self, ct: Ciphertext, coeff_scale: float) -> Ciphertext:
         """Approximate ``x mod q_0`` via the scaled sine on slot values.
+
+        ``ct`` may be stacked (:meth:`Ciphertext.stack`): the bootstrap
+        passes both CoeffToSlot halves as one ``(2, L, N)`` batch.
 
         ``coeff_scale`` is the scale of the ModRaised ciphertext — the
         factor relating slot values to raw coefficients; using the

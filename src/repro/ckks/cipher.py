@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ckks.rns import RnsPolynomial, modulus_column
 from repro.errors import (ParameterError, ScaleMismatchError,
                           VerificationError)
@@ -43,7 +45,9 @@ class Ciphertext:
 
     Decryption computes ``b + a*s``.  ``scale`` is the current encoding
     scale Δ'; ``basis`` (from the polynomials) tracks the remaining
-    level budget.
+    level budget.  A *stacked* ciphertext (:meth:`stack`) holds a batch
+    of ciphertexts as ``(B, L, N)`` halves that share one basis and one
+    scale; every evaluator op then serves the whole batch per dispatch.
     """
 
     b: RnsPolynomial
@@ -53,6 +57,40 @@ class Ciphertext:
     def __post_init__(self):
         if self.b.basis != self.a.basis:
             raise ParameterError("ciphertext halves have different bases")
+        if self.b.coeffs.shape != self.a.coeffs.shape:
+            raise ParameterError("ciphertext halves have different shapes")
+
+    @staticmethod
+    def stack(cts) -> "Ciphertext":
+        """Batch ciphertexts into one ``(B, L, N)`` ciphertext.
+
+        Running the batch through an op sequence is bit-identical to
+        running each input through it, so the inputs must agree on
+        basis, domain and — exactly — scale: the batch carries one.
+        """
+        cts = list(cts)
+        first = cts[0]
+        for ct in cts[1:]:
+            if (ct.basis != first.basis or ct.scale != first.scale
+                    or ct.b.is_ntt != first.b.is_ntt):
+                raise ParameterError(
+                    "stacked ciphertexts must share basis, domain and scale")
+
+        def planes(half: str) -> RnsPolynomial:
+            return RnsPolynomial(
+                np.stack([getattr(ct, half).coeffs for ct in cts]),
+                first.basis, first.b.is_ntt)
+
+        return Ciphertext(b=planes("b"), a=planes("a"), scale=first.scale)
+
+    def unstack(self) -> list:
+        """The ciphertexts of a :meth:`stack` batch, in order."""
+        if self.b.coeffs.ndim != 3:
+            raise ParameterError("not a stacked ciphertext")
+        return [Ciphertext(b=RnsPolynomial(b, self.basis, self.b.is_ntt),
+                           a=RnsPolynomial(a, self.basis, self.a.is_ntt),
+                           scale=self.scale)
+                for b, a in zip(self.b.coeffs, self.a.coeffs)]
 
     @property
     def basis(self) -> tuple:

@@ -89,7 +89,8 @@ def basis_convert(poly: RnsPolynomial, dst_basis: tuple) -> RnsPolynomial:
     Structurally a ``(|dst| × |src|) @ (|src| × N)`` matrix product, as
     the paper notes (§II-B).  A floating-point correction recovers the
     centered representative, so inputs with centered magnitude below
-    ``Q_src / 2`` convert exactly.
+    ``Q_src / 2`` convert exactly.  A batched ``(..., |src|, N)`` input
+    converts every plane in the same call.
     """
     if poly.is_ntt:
         raise ParameterError("BConv requires coefficient-domain input")
@@ -104,9 +105,10 @@ def basis_convert(poly: RnsPolynomial, dst_basis: tuple) -> RnsPolynomial:
     # The uncorrected sum equals x + u * Q_src with u = round(sum y_i/q_i)
     # for centered x; subtract u * Q_src to recenter.  Summed limb by
     # limb to keep the float rounding identical to the reference.
-    frac = np.zeros(poly.degree, dtype=np.float64)
+    lead = y.shape[:-2]
+    frac = np.zeros(lead + (poly.degree,), dtype=np.float64)
     for i, q in enumerate(src_basis):
-        frac += y[i] / q
+        frac += y[..., i, :] / q
     u = np.round(frac).astype(np.int64)
     # acc[j] = Σ_i y_i · (Q̂_i mod p_j): a (|dst| × |src|) @ (|src| × N)
     # product.  Every term is below max(q)·max(p) < 2^62, so instead of
@@ -120,16 +122,17 @@ def basis_convert(poly: RnsPolynomial, dst_basis: tuple) -> RnsPolynomial:
     max_term = (max(src_basis) - 1) * (max(dst_basis) - 1)
     headroom = (1 << 63) - 1 - (max(dst_basis) - 1)
     chunk = max(1, headroom // max_term)
-    acc = np.zeros((len(dst_basis), poly.degree), dtype=np.int64)
+    acc = np.zeros(lead + (len(dst_basis), poly.degree), dtype=np.int64)
     starts = range(0, len(src_basis), chunk)
     instrument.count("ckks.bconv.chunks", len(starts))
 
     def accumulate(lo: int, hi: int) -> None:
-        rows = acc[lo:hi]
+        rows = acc[..., lo:hi, :]
         col = dst_col[lo:hi]
         for start in starts:
             stop = start + chunk
-            np.add(rows, q_hat_mod[start:stop, lo:hi].T @ y[start:stop],
+            np.add(rows,
+                   q_hat_mod[start:stop, lo:hi].T @ y[..., start:stop, :],
                    out=rows)
             np.remainder(rows, col, out=rows)
 
@@ -137,7 +140,7 @@ def basis_convert(poly: RnsPolynomial, dst_basis: tuple) -> RnsPolynomial:
         instrument.count("ckks.bconv.threaded")
     # u is a small non-negative integer (< |src|), so u·(Q_src mod p)
     # stays far below the int64 bound before its reduction.
-    corr = np.multiply(u[None, :], src_prod_mod.reshape(-1, 1))
+    corr = np.multiply(u[..., None, :], src_prod_mod.reshape(-1, 1))
     np.remainder(corr, dst_col, out=corr)
     modmath.mod_sub_into(acc, corr, dst_col, out=acc)
     return RnsPolynomial(acc, dst_basis, is_ntt=False)
@@ -190,14 +193,15 @@ def _basis_convert_planes(polys, dst_basis: tuple) -> list:
     """BConv of several polynomials sharing one basis, in one call.
 
     BConv is column-independent, so the planes go side by side on the
-    coefficient axis — one ``(|src|, k·N)`` conversion, split back into
-    ``k`` planes over ``dst_basis`` bit-identical to converting each.
+    coefficient axis — one ``(..., |src|, k·N)`` conversion, split back
+    into ``k`` planes over ``dst_basis`` bit-identical to converting
+    each.
     """
-    wide = RnsPolynomial(np.hstack([p.coeffs for p in polys]),
+    wide = RnsPolynomial(np.concatenate([p.coeffs for p in polys], axis=-1),
                          polys[0].basis, is_ntt=False)
     out = basis_convert(wide, dst_basis)
     return [RnsPolynomial(block, dst_basis, is_ntt=False)
-            for block in np.hsplit(out.coeffs, len(polys))]
+            for block in np.split(out.coeffs, len(polys), axis=-1)]
 
 
 def mod_up(poly: RnsPolynomial, groups, target_basis: tuple) -> list:
@@ -310,7 +314,9 @@ def key_switch(poly: RnsPolynomial, evk, decomp: DigitDecomposition) -> tuple:
     ``poly`` may be leveled (a prefix of the full Q basis); the evk —
     generated once over the full PQ basis — is restricted to the current
     basis.  Returns ``(b, a)`` over the current Q basis whose decryption
-    adds ``poly · s_from`` under the target secret.
+    adds ``poly · s_from`` under the target secret.  A batched
+    ``(..., L, N)`` ``poly`` switches every plane in one ModUp, KeyMult
+    and ModDown (the evk limbs broadcast over the batch).
     """
     digits, indices, target = decompose_digits(poly, decomp)
     evk.ensure_shoup()

@@ -360,11 +360,13 @@ def shoup_mod_mul_into(x, s, s_shoup, q_col,
     """``out[:] = (x * s) mod q`` per limb row through the Shoup pipeline.
 
     ``x``/``s`` are ``(L, N)`` int64 residue matrices over the primes of
-    the ``(L, 1)`` column ``q_col``, with ``s_shoup`` the precomputed
-    ``uint64`` dual of ``s``.  Output is canonical ``[0, q)`` —
-    bit-identical to :func:`mod_mul_into`.
+    the ``(L, 1)`` column ``q_col`` (either may carry leading batch
+    axes), with ``s_shoup`` the precomputed ``uint64`` dual of ``s``.
+    Output is canonical ``[0, q)`` — bit-identical to
+    :func:`mod_mul_into`.
     """
-    instrument.count("ckks.modmath.shoup", len(q_col))
+    instrument.count("ckks.modmath.shoup", len(q_col) if out.ndim == 2
+                     else out.size // out.shape[-1])
     ou = out.view(np.uint64)
     qu = q_col.view(np.uint64)
     shoup_mul_into(x.view(np.uint64), s.view(np.uint64), s_shoup, qu,

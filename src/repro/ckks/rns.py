@@ -4,6 +4,14 @@ A polynomial ``a ∈ R_Q`` is stored as an ``(L, N)`` ``int64`` matrix of
 residues — one row (limb) per prime of the RNS basis, exactly the view
 the paper uses (§II-A).  Polynomials can live in coefficient or NTT
 (evaluation) form; most CKKS ops keep them NTT-applied.
+
+An ``RnsPolynomial`` may also hold a *batch* of polynomials over one
+basis as ``(..., L, N)`` coefficients — the limb axis is always -2 and
+the coefficient axis -1.  Every op treats the leading planes
+independently and bit-identically to running it per plane, so
+independent polynomials (e.g. the two halves of bootstrapping's
+EvalMod) share each kernel dispatch.  An ``(L, N)`` operand (a
+plaintext, monomial or key limb) broadcasts against a batch.
 """
 
 from __future__ import annotations
@@ -58,6 +66,14 @@ def modulus_column(basis: tuple) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(len(basis), 1)
 
 
+def _limb_rows(array: np.ndarray, rows: list) -> np.ndarray:
+    """Fresh C-ordered copy of limb rows ``rows`` (axis -2) of every
+    plane (``a[..., rows, :]`` would not be C-ordered for a batch)."""
+    if array.ndim == 2:
+        return array[rows]
+    return np.take(array, rows, axis=-2)
+
+
 def basis_product(basis: tuple) -> int:
     """Product of all primes in a basis (an exact Python int)."""
     prod = 1
@@ -66,35 +82,47 @@ def basis_product(basis: tuple) -> int:
     return prod
 
 
+def _row_basis(poly: "RnsPolynomial") -> tuple:
+    """The prime of every row of ``poly.coeffs`` flattened to 2-D."""
+    if poly.coeffs.ndim == 2:
+        return poly.basis
+    return poly.basis * (poly.coeffs.size // (poly.limb_count
+                                             * poly.degree))
+
+
 def stacked_ntt(polys, inverse: bool = False) -> list:
     """(I)NTT of several same-degree polynomials in one batched call.
 
-    The limb planes are stacked as the rows of one 2-D ``(ΣL_i, N)``
-    matrix over the concatenated basis (repeated primes are fine — each
-    row carries its own twiddle plane), so the call keeps the thread
-    pool's row split and pays the per-call overhead once.  Every row
-    transforms exactly as in its own call: the results are bit-identical
-    to ``[p.to_ntt() for p in polys]`` (or ``from_ntt``).
+    The limb planes (of every batch plane) are stacked as the rows of
+    one 2-D ``(ΣL_i, N)`` matrix over the concatenated basis (repeated
+    primes are fine — each row carries its own twiddle plane), so the
+    call keeps the thread pool's row split and pays the per-call
+    overhead once.  Every row transforms exactly as in its own call:
+    the results are bit-identical to ``[p.to_ntt() for p in polys]``
+    (or ``from_ntt``).
     """
     polys = list(polys)
     if any(p.is_ntt != inverse for p in polys):
         raise ParameterError("stacked operands are in the wrong domain")
-    basis = tuple(q for p in polys for q in p.basis)
-    ctx = batch_ntt_context(polys[0].degree, basis)
-    planes = np.vstack([p.coeffs for p in polys])
+    degree = polys[0].degree
+    basis = tuple(q for p in polys for q in _row_basis(p))
+    ctx = batch_ntt_context(degree, basis)
+    planes = np.concatenate([p.coeffs.reshape(-1, degree) for p in polys])
     out = ctx.inverse(planes) if inverse else ctx.forward(planes)
-    bounds = np.cumsum([p.limb_count for p in polys])[:-1]
-    return [RnsPolynomial(rows, p.basis, is_ntt=not inverse)
+    bounds = np.cumsum([p.coeffs.size // degree for p in polys])[:-1]
+    return [RnsPolynomial(rows.reshape(p.coeffs.shape), p.basis,
+                          is_ntt=not inverse)
             for rows, p in zip(np.split(out, bounds), polys)]
 
 
 @dataclass
 class RnsPolynomial:
-    """A polynomial in RNS form over an explicit prime basis.
+    """A polynomial (or a batch of them) in RNS form over one basis.
 
-    ``coeffs`` has shape ``(len(basis), degree)``; ``coeffs[i]`` is the
-    limb modulo ``basis[i]``.  ``is_ntt`` tracks whether limbs hold
-    evaluation-domain values.
+    ``coeffs`` has shape ``(..., len(basis), degree)``;
+    ``coeffs[..., i, :]`` is the limb modulo ``basis[i]``.  Leading axes,
+    if any, index independent polynomials over the same basis.
+    ``is_ntt`` tracks whether limbs hold evaluation-domain values.
     """
 
     coeffs: np.ndarray
@@ -109,11 +137,12 @@ class RnsPolynomial:
                                      compare=False)
 
     def __post_init__(self):
-        if self.coeffs.ndim != 2:
-            raise ParameterError("RNS coefficients must be a 2-D matrix")
-        if self.coeffs.shape[0] != len(self.basis):
+        if self.coeffs.ndim < 2:
             raise ParameterError(
-                f"{self.coeffs.shape[0]} limbs but {len(self.basis)} primes")
+                "RNS coefficients need a limb and a coefficient axis")
+        if self.coeffs.shape[-2] != len(self.basis):
+            raise ParameterError(
+                f"{self.coeffs.shape[-2]} limbs but {len(self.basis)} primes")
         if self.coeffs.dtype != np.int64:
             self.coeffs = self.coeffs.astype(np.int64)
 
@@ -153,11 +182,11 @@ class RnsPolynomial:
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     @property
     def limb_count(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     def to_ntt(self) -> "RnsPolynomial":
         """Return the NTT-applied copy (no-op if already applied).
@@ -167,15 +196,22 @@ class RnsPolynomial:
         """
         if self.is_ntt:
             return self.copy()
-        out = batch_ntt_context(self.degree, self.basis).forward(self.coeffs)
-        return RnsPolynomial(out, self.basis, is_ntt=True)
+        return self._transformed(inverse=False)
 
     def from_ntt(self) -> "RnsPolynomial":
         """Return the coefficient-domain copy (no-op if already there)."""
         if not self.is_ntt:
             return self.copy()
-        out = batch_ntt_context(self.degree, self.basis).inverse(self.coeffs)
-        return RnsPolynomial(out, self.basis, is_ntt=False)
+        return self._transformed(inverse=True)
+
+    def _transformed(self, inverse: bool) -> "RnsPolynomial":
+        """(I)NTT of every limb of every plane as one 2-D row matrix
+        over the (repeated) basis — the thread pool splits its rows."""
+        ctx = batch_ntt_context(self.degree, _row_basis(self))
+        rows = self.coeffs.reshape(-1, self.degree)
+        out = ctx.inverse(rows) if inverse else ctx.forward(rows)
+        return RnsPolynomial(out.reshape(self.coeffs.shape), self.basis,
+                             is_ntt=not inverse)
 
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial(self.coeffs.copy(), self.basis, self.is_ntt,
@@ -194,6 +230,10 @@ class RnsPolynomial:
         return self
 
     # -- Element-wise arithmetic ----------------------------------------------
+    #
+    # Results are fresh C-ordered buffers shaped like the operand of
+    # higher rank, so a batch against an ``(L, N)`` operand broadcasts
+    # (the fault guard injects through flat views of those buffers).
 
     def _check_compatible(self, other: "RnsPolynomial") -> None:
         if self.basis != other.basis:
@@ -204,30 +244,32 @@ class RnsPolynomial:
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
         q_col = modulus_column(self.basis)
-        out = np.empty_like(self.coeffs)
-        modmath.mod_add_into(self.coeffs, other.coeffs, q_col, out)
+        a, b = self.coeffs, other.coeffs
+        out = np.empty(a.shape if a.ndim >= b.ndim else b.shape,
+                       dtype=np.int64)
+        modmath.mod_add_into(a, b, q_col, out)
         if _fault_guard.ACTIVE is not None:
             _fault_guard.ACTIVE.elementwise(
-                "add", (self.coeffs, other.coeffs), out, q_col,
-                lambda buf: modmath.mod_add_into(
-                    self.coeffs, other.coeffs, q_col, buf))
+                "add", (a, b), out, q_col,
+                lambda buf: modmath.mod_add_into(a, b, q_col, buf))
         return RnsPolynomial(out, self.basis, self.is_ntt)
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
         q_col = modulus_column(self.basis)
-        out = np.empty_like(self.coeffs)
-        modmath.mod_sub_into(self.coeffs, other.coeffs, q_col, out)
+        a, b = self.coeffs, other.coeffs
+        out = np.empty(a.shape if a.ndim >= b.ndim else b.shape,
+                       dtype=np.int64)
+        modmath.mod_sub_into(a, b, q_col, out)
         if _fault_guard.ACTIVE is not None:
             _fault_guard.ACTIVE.elementwise(
-                "sub", (self.coeffs, other.coeffs), out, q_col,
-                lambda buf: modmath.mod_sub_into(
-                    self.coeffs, other.coeffs, q_col, buf))
+                "sub", (a, b), out, q_col,
+                lambda buf: modmath.mod_sub_into(a, b, q_col, buf))
         return RnsPolynomial(out, self.basis, self.is_ntt)
 
     def __neg__(self) -> "RnsPolynomial":
         q_col = modulus_column(self.basis)
-        out = np.empty_like(self.coeffs)
+        out = np.empty(self.coeffs.shape, dtype=np.int64)
         modmath.mod_neg_into(self.coeffs, q_col, out)
         if _fault_guard.ACTIVE is not None:
             _fault_guard.ACTIVE.elementwise(
@@ -241,23 +283,22 @@ class RnsPolynomial:
         if not self.is_ntt:
             raise ParameterError("polynomial mult requires NTT form")
         q_col = modulus_column(self.basis)
-        out = np.empty_like(self.coeffs)
+        a, b = self.coeffs, other.coeffs
+        out = np.empty(a.shape if a.ndim >= b.ndim else b.shape,
+                       dtype=np.int64)
         # A precomputed Shoup dual on either operand turns the per-limb
         # ``%`` into the divide-free mul/shift/sub pipeline —
         # bit-identical either way.
         if other.shoup is not None:
-            modmath.shoup_mod_mul_into(self.coeffs, other.coeffs,
-                                       other.shoup, q_col, out)
+            modmath.shoup_mod_mul_into(a, b, other.shoup, q_col, out)
         elif self.shoup is not None:
-            modmath.shoup_mod_mul_into(other.coeffs, self.coeffs,
-                                       self.shoup, q_col, out)
+            modmath.shoup_mod_mul_into(b, a, self.shoup, q_col, out)
         else:
-            modmath.mod_mul_into(self.coeffs, other.coeffs, q_col, out)
+            modmath.mod_mul_into(a, b, q_col, out)
         if _fault_guard.ACTIVE is not None:
             _fault_guard.ACTIVE.elementwise(
-                "mul", (self.coeffs, other.coeffs), out, q_col,
-                lambda buf: modmath.mod_mul_into(
-                    self.coeffs, other.coeffs, q_col, buf))
+                "mul", (a, b), out, q_col,
+                lambda buf: modmath.mod_mul_into(a, b, q_col, buf))
         return RnsPolynomial(out, self.basis, self.is_ntt)
 
     def scalar_mul(self, constants) -> "RnsPolynomial":
@@ -269,7 +310,7 @@ class RnsPolynomial:
         q_col = modulus_column(self.basis)
         col = np.array([int(c) % q for c, q in zip(constants, self.basis)],
                        dtype=np.int64).reshape(-1, 1)
-        out = np.empty_like(self.coeffs)
+        out = np.empty(self.coeffs.shape, dtype=np.int64)
         modmath.mod_mul_into(self.coeffs, col, q_col, out)
         if _fault_guard.ACTIVE is not None:
             _fault_guard.ACTIVE.elementwise(
@@ -288,8 +329,8 @@ class RnsPolynomial:
             rows = [index[q] for q in basis]
         except KeyError as exc:
             raise ParameterError(f"prime {exc} not in source basis") from exc
-        dual = None if self.shoup is None else self.shoup[rows].copy()
-        return RnsPolynomial(self.coeffs[rows].copy(), tuple(basis),
+        dual = None if self.shoup is None else _limb_rows(self.shoup, rows)
+        return RnsPolynomial(_limb_rows(self.coeffs, rows), tuple(basis),
                              self.is_ntt, dual)
 
     def concat(self, other: "RnsPolynomial") -> "RnsPolynomial":
@@ -299,7 +340,7 @@ class RnsPolynomial:
         if set(self.basis) & set(other.basis):
             raise ParameterError("bases overlap")
         return RnsPolynomial(
-            np.vstack([self.coeffs, other.coeffs]),
+            np.concatenate([self.coeffs, other.coeffs], axis=-2),
             self.basis + other.basis, self.is_ntt)
 
     # -- Exact reconstruction ----------------------------------------------------
@@ -312,12 +353,14 @@ class RnsPolynomial:
         """
         poly = self.from_ntt()
         big_q = basis_product(self.basis)
-        out = np.zeros(self.degree, dtype=object)
+        out = np.zeros(self.coeffs.shape[:-2] + (self.degree,),
+                       dtype=object)
         for i, q in enumerate(self.basis):
             q_hat = big_q // q
             q_hat_inv = modmath.mod_inverse(q_hat % q, q)
             weight = q_hat * q_hat_inv
-            out = (out + poly.coeffs[i].astype(object) * weight) % big_q
+            out = (out + poly.coeffs[..., i, :].astype(object)
+                   * weight) % big_q
         if centered:
             out = np.where(out > big_q // 2, out - big_q, out)
         return out

@@ -14,7 +14,9 @@ nonzero for every odd prime ``q``, so any single bit flip (hence any
 single-word corruption that changes the residue class) is caught.
 
 All helpers are vectorized over the limb axis: ``coeffs`` is the usual
-``(L, N)`` int64 matrix and ``q_col`` the ``(L, 1)`` modulus column.
+``(L, N)`` int64 matrix (or a ``(..., L, N)`` batch of them — sums run
+over the coefficient axis -1) and ``q_col`` the ``(L, 1)`` modulus
+column.
 Sums of up to 2^35 residues of < 2^31 each stay below 2^63, so the
 reductions are exact in int64.
 """
@@ -25,8 +27,8 @@ import numpy as np
 
 
 def limb_checksum(coeffs: np.ndarray, q_col: np.ndarray) -> np.ndarray:
-    """``(L,)`` vector: sum of each limb's residues mod its prime."""
-    return coeffs.sum(axis=1, dtype=np.int64) % q_col[:, 0]
+    """``(..., L)``: sum of each limb's residues mod its prime."""
+    return coeffs.sum(axis=-1, dtype=np.int64) % q_col[:, 0]
 
 
 def checksum_add(cs_a: np.ndarray, cs_b: np.ndarray,
@@ -63,12 +65,12 @@ def checksum_mul_pairs(a: np.ndarray, b: np.ndarray,
     computes while the product streams past it.
     """
     prods = (a * b) % q_col          # residues < 2^31: products fit int64
-    return prods.sum(axis=1, dtype=np.int64) % q_col[:, 0]
+    return prods.sum(axis=-1, dtype=np.int64) % q_col[:, 0]
 
 
 def mismatched_limbs(coeffs: np.ndarray, expected: np.ndarray,
                      q_col: np.ndarray) -> np.ndarray:
-    """Boolean ``(L,)`` mask of limbs whose checksum disagrees."""
+    """Boolean ``(..., L)`` mask of limbs whose checksum disagrees."""
     return limb_checksum(coeffs, q_col) != expected
 
 

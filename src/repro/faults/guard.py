@@ -87,13 +87,43 @@ class FaultSession:
 
     # -- The guard ----------------------------------------------------------
 
+    @property
+    def kernels(self) -> int:
+        """Element-wise kernels guarded so far (one per batch plane)."""
+        return self._op_index
+
     def elementwise(self, op: str, inputs, out: np.ndarray,
                     q_col: np.ndarray, recompute, scalars=None) -> None:
-        """Guard one element-wise kernel whose clean result is ``out``.
+        """Guard one element-wise dispatch whose clean result is ``out``.
 
-        ``recompute`` re-fills ``out`` with the clean result (the
-        simulated re-execution); injection draws are fresh per attempt,
-        so retried kernels can fault again.
+        ``recompute`` re-fills an ``out``-shaped buffer with the clean
+        result (the simulated re-execution).  A batched ``(..., L, N)``
+        result is guarded plane by plane, each plane as its own kernel
+        with its own site, injection draws and checksum, so running
+        independent polynomials as one batch leaves the campaign's
+        exposure per polynomial unchanged.  ``out`` must be C-ordered:
+        faults are injected through a flat view of each plane.
+        """
+        if not out.flags.c_contiguous:
+            raise FaultError("guarded results must be C-ordered")
+        if out.ndim == 2:
+            self._guard(op, inputs, out, q_col, recompute, scalars)
+            return
+        for index in np.ndindex(out.shape[:-2]):
+            def recompute_plane(buf, index=index):
+                full = np.empty_like(out)
+                recompute(full)
+                buf[...] = full[index]
+            planes = tuple(x if x.ndim == 2 else x[index] for x in inputs)
+            self._guard(op, planes, out[index], q_col, recompute_plane,
+                        scalars)
+
+    def _guard(self, op: str, inputs, out: np.ndarray, q_col: np.ndarray,
+               recompute, scalars) -> None:
+        """Inject, verify, retry and fall back for one ``(L, N)`` kernel.
+
+        Injection draws are fresh per attempt, so retried kernels can
+        fault again.
         """
         plan = self.plan
         injector = self.injector

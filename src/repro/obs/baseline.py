@@ -25,18 +25,24 @@ BASELINE_METRICS = ("total_time", "gpu_time", "pim_time",
 
 @dataclass(frozen=True)
 class BaselineRegression:
-    """One metric outside tolerance."""
+    """One metric outside tolerance (``current`` None: the run lacks
+    a metric the baseline records)."""
 
     metric: str
     baseline: float
-    current: float
+    current: float | None
     tolerance: float
 
     @property
     def ratio(self) -> float:
+        if self.current is None:
+            return float("nan")
         return self.current / self.baseline if self.baseline else float("inf")
 
     def describe(self) -> str:
+        if self.current is None:
+            return (f"{self.metric}: baseline {self.baseline:.6g} -> "
+                    "missing from this run")
         return (f"{self.metric}: baseline {self.baseline:.6g} -> "
                 f"current {self.current:.6g} ({self.ratio:+.2%} of baseline, "
                 f"tolerance ±{self.tolerance:.0%})".replace("+", ""))
@@ -91,12 +97,19 @@ def check_baseline_metrics(baseline: dict, current: dict,
     A metric regresses when it deviates from the baseline by more than
     ``tolerance`` *in either direction* — an unexplained speedup is as
     suspicious as a slowdown in a deterministic model.  (Wall-clock
-    benchmarks are *not* deterministic; pass a generous tolerance.)
+    benchmarks are *not* deterministic; pass a generous tolerance.)  A
+    metric the baseline records but the run lacks is a regression too:
+    a check that cannot compare a metric has not passed it.
     """
     regressions = []
     for metric, reference in baseline.get("metrics", {}).items():
+        if reference is None:
+            continue
         value = current.get(metric)
-        if value is None or reference is None:
+        if value is None:
+            regressions.append(BaselineRegression(
+                metric=metric, baseline=reference, current=None,
+                tolerance=tolerance))
             continue
         if reference == 0:
             deviation = 0.0 if value == 0 else float("inf")

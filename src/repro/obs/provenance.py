@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import platform
 import subprocess
 import sys
@@ -11,11 +12,20 @@ from pathlib import Path
 
 
 def git_sha(cwd: str | None = None) -> str | None:
-    """The repository HEAD SHA, or None outside a git checkout."""
+    """The repository HEAD SHA, or None outside a git checkout.
+
+    Resolved once per process and directory — every baseline and
+    history write asks for it — so a long-running process reports the
+    HEAD it first saw.
+    """
+    return _git_sha(str(cwd or Path(__file__).resolve().parent))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha(cwd: str) -> str | None:
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd or Path(__file__).resolve().parent,
+            ["git", "rev-parse", "HEAD"], cwd=cwd,
             capture_output=True, text=True, timeout=5)
     except (OSError, subprocess.SubprocessError):
         return None

@@ -1,13 +1,21 @@
 """Tests for CKKS bootstrapping at reduced ring degree."""
 
+import hashlib
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.ckks import instrument, keyswitch
 from repro.ckks.bootstrap import (Bootstrapper, mod_raise,
                                   special_fft_matrix)
 from repro.ckks.evaluator import CkksEvaluator
+from repro.ckks.fixture import bootstrap_fixture
 from repro.ckks.keys import KeyGenerator
+from repro.ckks.rns import RnsPolynomial
 from repro.errors import LevelError, ParameterError
+from repro.obs.tracer import Tracer
 from repro.params import CkksParams
 
 
@@ -120,3 +128,101 @@ class TestBootstrap:
         _, _, bts = boot_setup
         # CtS + StC + normalize(2) + ceil(log2(79)) + combination
         assert bts.depth() == 2 + 2 + 7 + 1
+
+
+#: sha256 over the little-endian int64 ``b`` then ``a`` coefficients of
+#: one warm bootstrap of ``bootstrap_fixture()`` (key seed 11, message
+#: seed 7), and the output scale.  Recorded when EvalMod still ran its
+#: two halves one after the other: running them in lockstep must not
+#: move a single bit.
+WARM_BOOTSTRAP_SHA256 = (
+    "95861e813f92f03515a97af681530f22a1a78b763fb69d56f7d1d7eeb4ccce3a")
+WARM_BOOTSTRAP_SCALE = 269059518.7408929
+
+_PHASES = ("_coeff_to_slot", "_eval_mod", "_slot_to_coeff")
+_STAGES = ("key_switch", "mod_up", "mod_down")
+_ELEMENTWISE = ("__add__", "__sub__", "__mul__", "__neg__", "scalar_mul")
+
+
+def _counting(monkeypatch, counts, phase):
+    """Count calls per bootstrap phase of the key-switch stages (under
+    every name they were imported by) and of the element-wise ops."""
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[phase[0], name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _STAGES:
+        original = getattr(keyswitch, name)
+        wrapper = counted(original, name)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro.") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    for attr in _ELEMENTWISE:
+        monkeypatch.setattr(RnsPolynomial, attr, counted(
+            getattr(RnsPolynomial, attr), "elementwise"))
+
+    def in_phase(fn, name):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = None
+        return wrapper
+
+    for name in _PHASES:
+        monkeypatch.setattr(Bootstrapper, name,
+                            in_phase(getattr(Bootstrapper, name), name))
+
+
+class TestWarmBootstrapPinned:
+    """One warm bootstrap at the bench parameters, pinned exactly: its
+    output bits and its deterministic kernel counts."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        return bootstrap_fixture(key_seed=11, message_seed=7)
+
+    @pytest.fixture()
+    def run(self, fixture, monkeypatch):
+        counts, phase = Counter(), [None]
+        _counting(monkeypatch, counts, phase)
+        tracer = Tracer()
+        instrument.set_tracer(tracer)
+        try:
+            out = fixture.bts.bootstrap(fixture.ct_low)
+        finally:
+            instrument.set_tracer(None)
+        return out, counts, tracer.counters
+
+    def test_output_bits_and_scale(self, run, fixture):
+        out, _, _ = run
+        digest = hashlib.sha256()
+        for half in (out.b, out.a):
+            digest.update(np.ascontiguousarray(half.coeffs,
+                                               dtype="<i8").tobytes())
+        assert digest.hexdigest() == WARM_BOOTSTRAP_SHA256
+        assert out.scale == WARM_BOOTSTRAP_SCALE
+        assert fixture.decrypt_error(out) < 1e-3
+
+    def test_key_switches_per_phase(self, run):
+        _, counts, _ = run
+        for stage in _STAGES:
+            assert {phase: counts[phase, stage] for phase in _PHASES} == {
+                "_coeff_to_slot": 15, "_eval_mod": 59,
+                "_slot_to_coeff": 14}, stage
+            assert counts[None, stage] == 0
+
+    def test_kernel_dispatches(self, run):
+        _, counts, counters = run
+        assert sum(n for (_, name), n in counts.items()
+                   if name == "elementwise") == 3043
+        assert counts["_eval_mod", "elementwise"] == 2078
+        assert counters["ckks.bconv.batched"] == 451
+        assert counters["ckks.batch_ntt.forward"] == 435
+        assert counters["ckks.batch_ntt.inverse"] == 334
+        assert counters["ckks.batch_ntt.limbs"] == 12889

@@ -140,3 +140,58 @@ class TestRnsIntegration:
         assert s.log.events                 # the campaign actually injected
         for got, want in zip(faulted, clean):
             assert (got == want).all()
+
+
+class TestBatchedPlanes:
+    def test_each_plane_is_its_own_kernel(self):
+        """A ``(2, L, N)`` dispatch is two guarded kernels on two sites,
+        with the per-plane checksum catching a fault in either plane."""
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(FaultModel.PIM_BITFLIP_BUFFER, rate=1.0),),
+            max_attempts=1, n_sites=4)
+        xs = [RnsPolynomial(_residues(20 + i), BASIS) for i in range(2)]
+        ys = [RnsPolynomial(_residues(30 + i), BASIS) for i in range(2)]
+        x = RnsPolynomial(np.stack([p.coeffs for p in xs]), BASIS)
+        y = RnsPolynomial(np.stack([p.coeffs for p in ys]), BASIS)
+        clean = np.stack([(a + b).coeffs for a, b in zip(xs, ys)])
+        with guard.session(plan) as session:
+            out = (x + y).coeffs
+        assert (out == clean).all()
+        assert session.kernels == 2
+        sites = [event.site for event in session.log.events]
+        assert sites == [0, 0, 1, 1]        # fault + fallback per plane
+        summary = session.log.summary()
+        assert summary["undetected"] == 0 and summary["unrecovered"] == 0
+
+    def test_plane_against_one_limb_matrix_operand(self):
+        """A batch times an ``(L, N)`` operand guards each plane with
+        that operand's checksum algebra."""
+        a = RnsPolynomial(np.stack([_residues(40), _residues(41)]), BASIS,
+                          is_ntt=True)
+        b = RnsPolynomial(_residues(42), BASIS, is_ntt=True)
+        clean = (a * b).coeffs
+        with guard.session(default_plan(seed=9, scale=200.0)) as s:
+            got = (a * b).coeffs
+        assert s.kernels == 2
+        assert s.log.events                 # the campaign actually injected
+        assert (got == clean).all()
+
+    def test_non_c_ordered_result_refused(self):
+        """Faults are injected through a flat view of each plane; on a
+        strided result that view would be a copy and the fault lost."""
+        session = FaultSession(FaultPlan(seed=1))
+        strided = np.stack([_residues(50), _residues(51)], axis=-1)[..., 0]
+        with pytest.raises(FaultError):
+            session.elementwise("neg", (strided,), strided, Q_COL,
+                                lambda buf: None)
+
+    def test_bootstrap_guards_one_kernel_per_plane(self):
+        """Lockstep EvalMod batches the two halves, yet the guard sees
+        one kernel per polynomial: 5121 per warm bootstrap, as many as
+        when the halves ran one after the other."""
+        from repro.ckks.fixture import bootstrap_fixture
+
+        fx = bootstrap_fixture()
+        with guard.session(FaultPlan(seed=0)) as s:
+            fx.bts.bootstrap(fx.ct_low)
+        assert s.kernels == 5121

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.scheduler import ScheduleReport
 from repro.obs.baseline import (BASELINE_METRICS, baseline_metrics,
-                                baseline_path, check_baseline, load_baseline,
+                                baseline_path, check_baseline,
+                                check_baseline_metrics, load_baseline,
                                 render_history, write_baseline)
 
 
@@ -99,6 +100,27 @@ class TestCheck:
         baseline = load_baseline(tmp_path, "X")
         assert check_baseline(baseline, _report()) == []
         assert check_baseline(baseline, _report(total=1.5)) != []
+
+
+    def test_missing_metric_is_a_regression(self, tmp_path):
+        # A run that lacks a recorded metric has not passed the check.
+        write_baseline(tmp_path, "Boot", _report())
+        baseline = load_baseline(tmp_path, "Boot")
+        current = baseline_metrics(_report())
+        del current["energy"]
+        (missing,) = check_baseline_metrics(baseline, current)
+        assert missing.metric == "energy"
+        assert missing.current is None
+        assert missing.describe().startswith("energy: baseline ")
+        assert missing.describe().endswith("missing from this run")
+
+    def test_metric_absent_from_baseline_is_not_checked(self, tmp_path):
+        path = baseline_path(tmp_path, "X")
+        path.write_text(json.dumps(
+            {"workload": "X", "metrics": {"total_time": 1.0,
+                                          "pim_time": None}}))
+        baseline = load_baseline(tmp_path, "X")
+        assert check_baseline_metrics(baseline, {"total_time": 1.0}) == []
 
 
 class TestHistoryRender:

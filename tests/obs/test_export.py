@@ -1,6 +1,7 @@
 """Tests for the Chrome-trace and manifest exporters."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.gpu.configs import A100_80GB, CHEDDAR
 from repro.obs.export import (chrome_trace_from_report,
                               chrome_trace_from_tracer, merge_traces,
                               report_dict, run_manifest, write_json)
+from repro.obs import provenance
 from repro.obs.provenance import config_dict, environment_info, git_sha
 from repro.obs.tracer import Tracer
 from repro.params import paper_params
@@ -116,6 +118,25 @@ class TestManifest:
         assert info["python"]
         sha = git_sha()
         assert sha is None or len(sha) == 40
+
+    def test_git_sha_resolved_once_per_process(self, monkeypatch):
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(kwargs["cwd"])
+            return subprocess.CompletedProcess(argv, 0, stdout="f" * 40 + "\n")
+
+        monkeypatch.setattr(provenance.subprocess, "run", fake_run)
+        provenance._git_sha.cache_clear()
+        try:
+            first = environment_info()
+            second = environment_info()
+            assert len(calls) == 1
+            assert first["git_sha"] == second["git_sha"] == "f" * 40
+            git_sha(cwd="/")
+            assert calls[1:] == ["/"]      # one lookup per directory
+        finally:
+            provenance._git_sha.cache_clear()
 
 
 class TestConfigDict:
