@@ -368,6 +368,14 @@ def _bench_parallel(args) -> int:
 
     seeds = tuple(range(args.units))
     workers = args.workers
+    # Near-uniform unit costs never beat the balanced ceiling: refuse,
+    # before running anything, a write that cannot clear the 2x bar.
+    ceiling = pool_timeline([1.0] * args.units, workers)["speedup"]
+    if not args.check and ceiling <= 2.0:
+        print(f"parallel: FAIL — {args.units} units x {workers} workers "
+              f"cap the modeled speedup at {ceiling:.2f}x "
+              f"(units / ceil(units / workers)); a baseline needs > 2x")
+        return 1
 
     start = _time.perf_counter()
     serial = run_matrix(seeds=seeds, functional=False,

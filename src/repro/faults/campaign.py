@@ -16,16 +16,18 @@ pass/fail gate the CLI and CI enforce: every effective fault detected
 (coverage >= the threshold), nothing unrecovered, decrypt correct.
 
 The matrix is factored into **units** — one ``(layer, seed)`` cell per
-unit — so the serving layer can run a campaign incrementally: each
-finished unit is checkpointed, and a resumed campaign replays only the
-missing units before :func:`assemble_matrix` rebuilds the exact same
-document an uninterrupted run would have produced (every unit is
-deterministic; pass ``record_wall=False`` to drop the one wall-clock
-field the functional layer reports).
+unit, each a pure function of its arguments (pass
+``record_wall=False`` to drop the one wall-clock field the functional
+layer reports).  ``run_matrix`` runs every cell through
+:func:`repro.parallel.run_cells`, so the document is byte-identical for
+any worker count; the serving layer instead runs cells one at a time
+through :func:`run_campaign_unit`, checkpoints each, and rebuilds the
+same document from the finished units with :func:`assemble_matrix`.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -61,29 +63,56 @@ def _record_summary(metrics, layer: str, summary: dict) -> None:
             counter.inc(value, layer=layer, event=event)
 
 
-def run_functional_campaign(plan: FaultPlan,
-                            max_error: float = MAX_DECRYPT_ERROR,
-                            record_wall: bool = True,
-                            metrics=None) -> dict:
-    """Bootstrap a ciphertext with faults live; report coverage.
+def guarded_bootstrap(session: guard.FaultSession) -> tuple:
+    """Bootstrap the shared fixture with ``session`` live; returns
+    ``(decrypt_error, wall_s)``.
 
     Key generation and the one-time warmup bootstrap run *outside* the
-    fault session (the paper's fault model targets the PIM datapath at
-    execution time, not key material at rest).  ``record_wall=False``
-    omits the wall-clock field so the result is a pure function of the
-    plan — required for byte-identical checkpoint/resume.
+    session (the paper's fault model targets the PIM datapath at
+    execution time, not key material at rest).
     """
     from repro.ckks.fixture import bootstrap_fixture
 
     fx = bootstrap_fixture()
-
     start = time.perf_counter()
-    with guard.session(plan) as sess:
+    with guard.session(session):
         refreshed = fx.bts.bootstrap(fx.ct_low)
     wall_s = time.perf_counter() - start
-
     refreshed.check_invariants()
-    err = fx.decrypt_error(refreshed)
+    return fx.decrypt_error(refreshed), wall_s
+
+
+def clean_and_guarded(workload: str, tag: str, gpu=None, pim=None,
+                      **framework_options) -> tuple:
+    """Schedule a paper workload clean, then with ``framework_options``
+    (a fault plan, a RAS config, ...) live; returns
+    ``(clean_report, guarded_report)``."""
+    from repro.core.framework import AnaheimFramework
+    from repro.gpu.configs import A100_80GB
+    from repro.pim.configs import A100_NEAR_BANK
+    from repro.workloads.applications import PaperParams, build
+
+    gpu = gpu if gpu is not None else A100_80GB
+    pim = pim if pim is not None else A100_NEAR_BANK
+    params = PaperParams()
+    wl = build(workload, params)
+    clean = AnaheimFramework(gpu, pim=pim).run(
+        wl.blocks, params.degree, label=f"{workload} (clean)")
+    guarded = AnaheimFramework(gpu, pim=pim, **framework_options).run(
+        wl.blocks, params.degree, label=f"{workload} ({tag})")
+    return clean.report, guarded.report
+
+
+def run_functional_campaign(plan: FaultPlan, record_wall: bool = True,
+                            metrics=None) -> dict:
+    """Bootstrap a ciphertext with faults live; report coverage.
+
+    ``record_wall=False`` omits the wall-clock field so the result is
+    a pure function of the plan — required for byte-identical
+    checkpoint/resume.
+    """
+    sess = guard.FaultSession(plan)
+    err, wall_s = guarded_bootstrap(sess)
     summary = sess.log.summary()
     result = {
         "layer": "functional",
@@ -93,7 +122,7 @@ def run_functional_campaign(plan: FaultPlan,
         "events_by_model": {k: v["injected"]
                             for k, v in sess.log.by_model().items()},
         "max_error": err,
-        "decrypt_ok": err <= max_error,
+        "decrypt_ok": err <= MAX_DECRYPT_ERROR,
     }
     if record_wall:
         result["wall_s"] = wall_s
@@ -111,26 +140,12 @@ def run_analytic_campaign(plan: FaultPlan, workload: str = "Boot",
     layer's degradation machinery into the faulted run; its state lands
     in the result's ``summary`` (via ``report.fault_summary``).
     """
-    from repro.core.framework import AnaheimFramework
-    from repro.gpu.configs import A100_80GB
-    from repro.pim.configs import A100_NEAR_BANK
-    from repro.workloads.applications import PaperParams, build
-
-    gpu = gpu if gpu is not None else A100_80GB
-    pim = pim if pim is not None else A100_NEAR_BANK
-    params = PaperParams()
-    wl = build(workload, params)
-
-    clean = AnaheimFramework(gpu, pim=pim).run(
-        wl.blocks, params.degree, label=f"{workload} (clean)")
-    faulted = AnaheimFramework(
-        gpu, pim=pim, fault_plan=plan, health=health, breakers=breakers,
-        kernel_timeout=kernel_timeout).run(
-        wl.blocks, params.degree, label=f"{workload} (faulted)")
-
-    clean_t = clean.report.total_time
-    fault_t = faulted.report.total_time
-    summary = dict(faulted.report.fault_summary)
+    clean, faulted = clean_and_guarded(
+        workload, "faulted", gpu=gpu, pim=pim, fault_plan=plan,
+        health=health, breakers=breakers, kernel_timeout=kernel_timeout)
+    clean_t = clean.total_time
+    fault_t = faulted.total_time
+    summary = dict(faulted.fault_summary)
     _record_summary(metrics, "analytic", summary)
     return {
         "layer": "analytic",
@@ -177,30 +192,10 @@ def run_campaign_unit(layer: str, seed: int, *, scale: float = 1.0,
                                  metrics=metrics)
 
 
-def _campaign_pool_unit(task):
-    """Worker-side campaign cell (module-level, hence picklable).
-
-    Metrics land in a fresh per-unit registry that travels back with
-    the result so the parent can merge registries in unit order —
-    keeping the merged snapshot byte-identical to a serial sweep.
-    """
-    (layer, seed, scale, workload, stuck_sites, record_wall, gpu, pim,
-     collect_metrics) = task
-    from repro.obs.metrics import MetricsRegistry
-    registry = MetricsRegistry() if collect_metrics else None
-    result = run_campaign_unit(
-        layer, seed, scale=scale, workload=workload,
-        stuck_sites=stuck_sites, record_wall=record_wall,
-        gpu=gpu, pim=pim, metrics=registry)
-    return result, registry
-
-
 def _aggregate(runs) -> dict:
     """Pool the per-run fault summaries of one campaign layer."""
-    keys = ("injected", "benign", "effective", "detected", "undetected",
-            "recovered_retry", "recovered_fallback", "unrecovered",
-            "rerouted")
-    total = {k: sum(r["summary"].get(k, 0) for r in runs) for k in keys}
+    total = {k: sum(r["summary"].get(k, 0) for r in runs)
+             for k in _SUMMARY_EVENTS}
     total["coverage"] = (total["detected"] / total["effective"]
                          if total["effective"] else 1.0)
     return total
@@ -214,10 +209,10 @@ def assemble_matrix(results, seeds, scale: float = 1.0, stuck_sites=(),
     pure function of its inputs: assembling from freshly-run units and
     from checkpoint-restored units yields identical documents.
     """
-    functional_runs = [results[unit_key("functional", s)] for s in seeds
-                       if unit_key("functional", s) in results]
-    analytic_runs = [results[unit_key("analytic", s)] for s in seeds
-                     if unit_key("analytic", s) in results]
+    functional_runs, analytic_runs = (
+        [results[unit_key(layer, s)] for s in seeds
+         if unit_key(layer, s) in results]
+        for layer in ("functional", "analytic"))
     result = {
         "seeds": list(seeds),
         "scale": scale,
@@ -257,61 +252,22 @@ def run_matrix(seeds=(0, 1, 2), scale: float = 1.0,
                functional: bool = True, analytic: bool = True,
                coverage_threshold: float = COVERAGE_THRESHOLD,
                gpu=None, pim=None, record_wall: bool = True,
-               completed: dict | None = None, on_unit=None,
                metrics=None, workers: int = 1,
                threads: int = 1) -> dict:
     """The campaign matrix: (layer x seed) sweep plus the gate verdict.
 
-    ``completed`` (from a checkpoint) short-circuits already-finished
-    units; ``on_unit(key, result)`` fires after each fresh unit so a
-    caller can checkpoint incrementally.  ``workers > 1`` fans the
-    missing cells out across a :class:`~repro.parallel.WorkerPool`
-    (each cell is a pure function of its arguments, so the assembled
-    document is byte-identical to a serial sweep); a crashed worker
-    costs one cell, re-run inline.  ``threads`` sets each worker's
-    kernel thread count.
+    The cells run through :func:`repro.parallel.run_cells` on
+    ``workers`` processes of ``threads`` kernel threads each; the
+    document is byte-identical for any worker count.
     """
-    results = dict(completed or {})
-    missing = [(layer, seed)
-               for layer, seed in campaign_units(seeds, functional,
-                                                 analytic)
-               if unit_key(layer, seed) not in results]
-    if workers > 1 and len(missing) > 1:
-        from repro.parallel import WorkerPool, worker_warmup
-        tasks = [(layer, seed, scale, workload, tuple(stuck_sites),
-                  record_wall, gpu, pim, metrics is not None)
-                 for layer, seed in missing]
-        with WorkerPool(workers, initializer=worker_warmup,
-                        initargs=(threads,)) as pool:
-            outcomes = pool.run(_campaign_pool_unit, tasks)
-        for (layer, seed), task, outcome in zip(missing, tasks,
-                                                outcomes):
-            if outcome.crashed:
-                result, registry = _campaign_pool_unit(task)
-            else:
-                result, registry = outcome.value
-            if registry is not None and metrics is not None:
-                metrics.merge(registry)
-            key = unit_key(layer, seed)
-            results[key] = result
-            if on_unit is not None:
-                on_unit(key, result)
-    else:
-        # Serial cells still record into per-unit registries merged in
-        # order — the same float-summation grouping the pool produces,
-        # so the merged snapshot digest-matches any worker count.
-        from repro.obs.metrics import MetricsRegistry
-        for layer, seed in missing:
-            key = unit_key(layer, seed)
-            registry = MetricsRegistry() if metrics is not None else None
-            results[key] = run_campaign_unit(
-                layer, seed, scale=scale, workload=workload,
-                stuck_sites=stuck_sites, record_wall=record_wall,
-                gpu=gpu, pim=pim, metrics=registry)
-            if registry is not None:
-                metrics.merge(registry)
-            if on_unit is not None:
-                on_unit(key, results[key])
-    return assemble_matrix(results, seeds, scale=scale,
-                           stuck_sites=stuck_sites,
-                           coverage_threshold=coverage_threshold)
+    from repro.parallel import run_cells
+    units = campaign_units(seeds, functional, analytic)
+    cell = functools.partial(
+        run_campaign_unit, scale=scale, workload=workload,
+        stuck_sites=tuple(stuck_sites), record_wall=record_wall,
+        gpu=gpu, pim=pim)
+    results = run_cells(cell, units, workers, threads, metrics)
+    return assemble_matrix(
+        {unit_key(*unit): result for unit, result in zip(units, results)},
+        seeds, scale=scale, stuck_sites=stuck_sites,
+        coverage_threshold=coverage_threshold)

@@ -179,11 +179,14 @@ class FaultSession:
 
 
 @contextmanager
-def session(plan: FaultPlan, injector: FaultInjector | None = None):
-    """Attach a functional fault session for the duration of a block."""
+def session(plan, injector: FaultInjector | None = None):
+    """Attach a functional fault session for the duration of a block:
+    ``plan`` itself when it is a ready-built :class:`FaultSession`
+    (such as a RAS session), else a fresh session over the plan."""
     global ACTIVE
     previous = ACTIVE
-    ACTIVE = FaultSession(plan, injector=injector)
+    ACTIVE = (plan if isinstance(plan, FaultSession)
+              else FaultSession(plan, injector=injector))
     try:
         yield ACTIVE
     finally:

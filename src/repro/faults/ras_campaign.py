@@ -12,18 +12,22 @@ what it can, and only the escapes reach the residue-checksum guard.
 The matrix gate pins the composition claim: **zero uncorrected errors
 in every cell** (ECC + checksum leave no silent gap) and bounded
 overhead at the default operating point.  Cells are pure functions of
-their arguments, so ``workers > 1`` fans them out across a
-:class:`~repro.parallel.WorkerPool` and the assembled document is
-byte-identical to a serial sweep.
+their arguments and run through :func:`repro.parallel.run_cells`, so
+the assembled document is byte-identical for any worker count.  Both
+cell kinds reuse the fault campaign's runners
+(:func:`~repro.faults.campaign.clean_and_guarded` and
+:func:`~repro.faults.campaign.guarded_bootstrap`).
 """
 
 from __future__ import annotations
 
-import time
+import functools
 
 import numpy as np
 
 from repro.dram.reliability import ReliabilityConfig
+from repro.faults.campaign import (MAX_DECRYPT_ERROR, clean_and_guarded,
+                                   guarded_bootstrap)
 from repro.faults.guard import FaultSession
 from repro.faults.plan import FaultModel, FaultPlan
 from repro.faults.ras import SecDedCode
@@ -146,25 +150,10 @@ def _record_ras_metrics(metrics, corrected: int, detected: int,
 def run_analytic_ras(config: ReliabilityConfig, workload: str = "Boot",
                      gpu=None, pim=None, metrics=None) -> dict:
     """One analytic grid cell: clean vs RAS-enabled schedule."""
-    from repro.core.framework import AnaheimFramework
-    from repro.gpu.configs import A100_80GB
-    from repro.pim.configs import A100_NEAR_BANK
-    from repro.workloads.applications import PaperParams, build
-
-    gpu = gpu if gpu is not None else A100_80GB
-    pim = pim if pim is not None else A100_NEAR_BANK
-    params = PaperParams()
-    wl = build(workload, params)
-
-    clean = AnaheimFramework(gpu, pim=pim).run(
-        wl.blocks, params.degree, label=f"{workload} (clean)")
-    guarded = AnaheimFramework(gpu, pim=pim, ras_config=config,
-                               metrics=metrics).run(
-        wl.blocks, params.degree, label=f"{workload} (ras)")
-
-    clean_t = clean.report.total_time
-    ras_t = guarded.report.total_time
-    ras = guarded.report.fault_summary["ras"]
+    clean, guarded = clean_and_guarded(workload, "ras", gpu=gpu, pim=pim,
+                                       ras_config=config, metrics=metrics)
+    clean_t = clean.total_time
+    ras_t = guarded.total_time
     return {
         "layer": "analytic",
         "workload": workload,
@@ -174,7 +163,7 @@ def run_analytic_ras(config: ReliabilityConfig, workload: str = "Boot",
         "clean_time_s": clean_t,
         "guarded_time_s": ras_t,
         "overhead": ras_t / clean_t - 1.0 if clean_t else 0.0,
-        "ras": ras,
+        "ras": guarded.fault_summary["ras"],
     }
 
 
@@ -185,25 +174,8 @@ def run_functional_ras(config: ReliabilityConfig,
     ``record_wall=False`` omits the wall-clock field so the result is
     a pure function of the config (the determinism contract).
     """
-    from repro.ckks.fixture import bootstrap_fixture
-
-    from repro.faults import guard
-
-    fx = bootstrap_fixture()
     sess = RasSession(config)
-
-    start = time.perf_counter()
-    previous = guard.ACTIVE
-    guard.ACTIVE = sess
-    try:
-        refreshed = fx.bts.bootstrap(fx.ct_low)
-    finally:
-        guard.ACTIVE = previous
-    wall_s = time.perf_counter() - start
-
-    refreshed.check_invariants()
-    err = fx.decrypt_error(refreshed)
-    summary = sess.log.summary()
+    err, wall_s = guarded_bootstrap(sess)
     accounted = (sess.ecc_corrected + sess.ecc_detected
                  + sess.checksum_caught)
     result = {
@@ -216,9 +188,9 @@ def run_functional_ras(config: ReliabilityConfig,
         "ecc_detected": sess.ecc_detected,
         "checksum_caught": sess.checksum_caught,
         "unaccounted": sess.events - accounted,
-        "summary": summary,
+        "summary": sess.log.summary(),
         "max_error": err,
-        "decrypt_ok": err <= 1e-2,
+        "decrypt_ok": err <= MAX_DECRYPT_ERROR,
     }
     if record_wall:
         result["wall_s"] = wall_s
@@ -264,21 +236,6 @@ def run_ras_unit(kind: str, rate: float, interval: float, *,
                                   metrics=metrics)
     return run_analytic_ras(config, workload=workload, gpu=gpu, pim=pim,
                             metrics=metrics)
-
-
-def _ras_pool_unit(task):
-    """Worker-side RAS cell (module-level, hence picklable).  Metrics
-    land in a fresh per-unit registry merged in unit order by the
-    parent, keeping the merged snapshot byte-identical to a serial
-    sweep."""
-    (kind, rate, interval, base, workload, record_wall, gpu, pim,
-     collect_metrics) = task
-    from repro.obs.metrics import MetricsRegistry
-    registry = MetricsRegistry() if collect_metrics else None
-    result = run_ras_unit(kind, rate, interval, base=base,
-                          workload=workload, record_wall=record_wall,
-                          gpu=gpu, pim=pim, metrics=registry)
-    return result, registry
 
 
 def assemble_ras_matrix(results, retention_rates, scrub_intervals,
@@ -340,8 +297,7 @@ def assemble_ras_matrix(results, retention_rates, scrub_intervals,
         "config": base.canonical(),
         "retention_rates": list(retention_rates),
         "scrub_intervals": list(scrub_intervals),
-        "cells": [results[ras_unit_key("analytic", rate, interval)]
-                  for rate in retention_rates
+        "cells": [cell(rate, interval) for rate in retention_rates
                   for interval in scrub_intervals],
         "default_cell": default_cell,
         "functional": func_cell,
@@ -361,48 +317,22 @@ def run_ras_matrix(retention_rates=DEFAULT_RETENTION_RATES,
                    threads: int = 1) -> dict:
     """The full RAS campaign: grid sweep, surfaces, and gate verdict.
 
-    ``workers > 1`` fans the cells out across a worker pool; a crashed
-    worker costs one cell, re-run inline.  ``threads`` sets each
-    worker's kernel thread count.  Every cell is a pure function of
-    its arguments, so the document is byte-identical for any worker
-    count.
+    The cells run through :func:`repro.parallel.run_cells` on
+    ``workers`` processes of ``threads`` kernel threads each; the
+    document is byte-identical for any worker count.
     """
+    from repro.parallel import run_cells
     base = base if base is not None else ReliabilityConfig()
     units = ras_units(retention_rates, scrub_intervals, base=base,
                       functional=functional)
-    results = {}
-    if workers > 1 and len(units) > 1:
-        from repro.parallel import WorkerPool, worker_warmup
-        tasks = [(kind, rate, interval, base, workload, record_wall,
-                  gpu, pim, metrics is not None)
-                 for kind, rate, interval in units]
-        with WorkerPool(workers, initializer=worker_warmup,
-                        initargs=(threads,)) as pool:
-            outcomes = pool.run(_ras_pool_unit, tasks)
-        for (kind, rate, interval), task, outcome in zip(units, tasks,
-                                                         outcomes):
-            if outcome.crashed:
-                result, registry = _ras_pool_unit(task)
-            else:
-                result, registry = outcome.value
-            if registry is not None and metrics is not None:
-                metrics.merge(registry)
-            results[ras_unit_key(kind, rate, interval)] = result
-    else:
-        # Serial cells still record into per-unit registries merged in
-        # order — the same float-summation grouping the pool produces.
-        from repro.obs.metrics import MetricsRegistry
-        for kind, rate, interval in units:
-            registry = MetricsRegistry() if metrics is not None else None
-            results[ras_unit_key(kind, rate, interval)] = run_ras_unit(
-                kind, rate, interval, base=base, workload=workload,
-                record_wall=record_wall, gpu=gpu, pim=pim,
-                metrics=registry)
-            if registry is not None:
-                metrics.merge(registry)
-    return assemble_ras_matrix(results, retention_rates,
-                               scrub_intervals, base, workload,
-                               functional, overhead_bound=overhead_bound)
+    cell = functools.partial(run_ras_unit, base=base, workload=workload,
+                             record_wall=record_wall, gpu=gpu, pim=pim)
+    results = run_cells(cell, units, workers, threads, metrics)
+    return assemble_ras_matrix(
+        {ras_unit_key(*unit): result
+         for unit, result in zip(units, results)},
+        retention_rates, scrub_intervals, base, workload, functional,
+        overhead_bound=overhead_bound)
 
 
 def ras_baseline_metrics(document: dict) -> dict:

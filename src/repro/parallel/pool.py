@@ -16,8 +16,8 @@ keeping every observable output **byte-identical** to a serial run:
   crashed unit comes back marked ``crashed`` so the caller can feed it
   into its normal retry machinery in-process.
 
-``workers <= 1`` bypasses the executor entirely — the caller's serial
-path runs unchanged, which is what makes ``--workers 1`` ≡ the
+One worker (or one task) bypasses the executor entirely: every unit
+runs inline in the parent, which is what makes ``--workers 1`` ≡ the
 historical behavior by construction.
 
 Throughput accounting follows the repo convention of charging costs to
@@ -168,11 +168,9 @@ class WorkerPool:
         return results
 
     def _run_inline(self, index: int, fn, task) -> PoolResult:
-        import os
-        start = time.perf_counter()
-        value = fn(task)
-        return PoolResult(index=index, value=value, worker=os.getpid(),
-                          wall_s=time.perf_counter() - start)
+        value, pid, wall_s = _traced_call(fn, task)
+        return PoolResult(index=index, value=value, worker=pid,
+                          wall_s=wall_s)
 
 
 # -- Deterministic pool timeline ------------------------------------------------

@@ -39,6 +39,17 @@ class TestCleanPath:
             assert guard.ACTIVE is s
         assert guard.ACTIVE is None
 
+    def test_session_installs_a_ready_built_session(self):
+        outer = FaultSession(FaultPlan(seed=1))
+        inner = FaultSession(FaultPlan(seed=2))
+        with guard.session(outer):
+            with pytest.raises(RuntimeError):
+                with guard.session(inner) as s:
+                    assert s is inner and guard.ACTIVE is inner
+                    raise RuntimeError("body failed")
+            assert guard.ACTIVE is outer
+        assert guard.ACTIVE is None
+
     def test_zero_rate_plan_leaves_results_untouched(self):
         session = FaultSession(FaultPlan(seed=1))
         a, b = _residues(1), _residues(2)
